@@ -10,8 +10,8 @@
  * see cxEquivalentCount).
  */
 
-#ifndef MIRAGE_BENCH_CIRCUITS_GENERATORS_HH
-#define MIRAGE_BENCH_CIRCUITS_GENERATORS_HH
+#ifndef MIRAGE_BENCHCIRCUITS_GENERATORS_HH
+#define MIRAGE_BENCHCIRCUITS_GENERATORS_HH
 
 #include <functional>
 #include <string>
@@ -102,4 +102,4 @@ int cxEquivalentCount(const Circuit &c);
 
 } // namespace mirage::bench
 
-#endif // MIRAGE_BENCH_CIRCUITS_GENERATORS_HH
+#endif // MIRAGE_BENCHCIRCUITS_GENERATORS_HH

@@ -31,8 +31,8 @@
  * the fit error for a lowered one, ~2^-n for a corrupted pipeline).
  */
 
-#ifndef MIRAGE_BENCH_CIRCUITS_MIRROR_HH
-#define MIRAGE_BENCH_CIRCUITS_MIRROR_HH
+#ifndef MIRAGE_BENCHCIRCUITS_MIRROR_HH
+#define MIRAGE_BENCHCIRCUITS_MIRROR_HH
 
 #include <cstdint>
 #include <vector>
@@ -78,4 +78,4 @@ double mirrorSuccessProbability(
 
 } // namespace mirage::bench
 
-#endif // MIRAGE_BENCH_CIRCUITS_MIRROR_HH
+#endif // MIRAGE_BENCHCIRCUITS_MIRROR_HH

@@ -7,7 +7,9 @@
 
 #include "cli/args.hh"
 
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
 
 #include "common/logging.hh"
 
@@ -135,10 +137,15 @@ ArgumentParser::intOption(const std::string &name) const
 {
     const std::string &v = option(name);
     char *end = nullptr;
+    errno = 0;
     long parsed = std::strtol(v.c_str(), &end, 10);
     if (v.empty() || *end != '\0')
         throw UsageError("option '" + name + "' expects an integer, got '" +
                          v + "'");
+    if (errno == ERANGE || parsed < std::numeric_limits<int>::min() ||
+        parsed > std::numeric_limits<int>::max())
+        throw UsageError("option '" + name + "' value '" + v +
+                         "' is out of range");
     return int(parsed);
 }
 
@@ -146,11 +153,20 @@ uint64_t
 ArgumentParser::u64Option(const std::string &name) const
 {
     const std::string &v = option(name);
+    // strtoull silently negates a leading '-' ("-1" -> 2^64-1).
+    const size_t first = v.find_first_not_of(" \t\n\v\f\r");
+    if (first != std::string::npos && v[first] == '-')
+        throw UsageError("option '" + name +
+                         "' expects a non-negative integer, got '" + v + "'");
     char *end = nullptr;
+    errno = 0;
     unsigned long long parsed = std::strtoull(v.c_str(), &end, 0);
     if (v.empty() || *end != '\0')
         throw UsageError("option '" + name + "' expects an integer, got '" +
                          v + "'");
+    if (errno == ERANGE)
+        throw UsageError("option '" + name + "' value '" + v +
+                         "' is out of range");
     return uint64_t(parsed);
 }
 

@@ -61,9 +61,12 @@ class ArgumentParser
     const std::string &option(const std::string &name) const;
     /** True when the user supplied the option explicitly. */
     bool optionSeen(const std::string &name) const;
-    /** option() parsed as an integer; UsageError on garbage. */
+    /** option() parsed as an int; UsageError on garbage or overflow. */
     int intOption(const std::string &name) const;
-    /** option() parsed as uint64 (seeds); UsageError on garbage. */
+    /**
+     * option() parsed as uint64 (seeds, decimal or 0x hex); UsageError
+     * on garbage, a leading '-', or overflow.
+     */
     uint64_t u64Option(const std::string &name) const;
 
     /** Operands left after option parsing, in order. */

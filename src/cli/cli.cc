@@ -325,7 +325,7 @@ cmdSweep(const std::vector<std::string> &args, std::ostream &out,
     parser.addOption("--threads", "N", "1",
                      "trial-grid worker threads (0 = all cores)");
     parser.addOption("--mc-iters", "N", "",
-                     "Monte-Carlo iterations (table2)");
+                     "Monte-Carlo iterations (fig5, table2)");
     parser.addOption("--limit", "N", "",
                      "first N suite entries / widths (mirror-rb, "
                      "mirror-qv, matrix; default: all)");

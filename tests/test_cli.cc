@@ -116,6 +116,31 @@ TEST(ArgumentParser, ErrorsAreUsageErrors)
     s.addOption("--seed", "N", "42", "seed");
     s.parse({"--seed", "banana"});
     EXPECT_THROW(s.intOption("--seed"), cli::UsageError);
+
+    // Values the target type cannot hold are rejected, not wrapped:
+    // 4294967297 used to truncate to int 1, and strtoull negates a
+    // leading '-' (-1 -> 2^64-1).
+    for (const char *v : {"4294967297", "-4294967297", "2147483648",
+                          "99999999999999999999"}) {
+        cli::ArgumentParser t("test", "");
+        t.addOption("--trials", "N", "8", "trials");
+        t.parse({"--trials", v});
+        EXPECT_THROW(t.intOption("--trials"), cli::UsageError) << v;
+    }
+    for (const char *v : {"-1", " -1", "-0", "18446744073709551616"}) {
+        cli::ArgumentParser t("test", "");
+        t.addOption("--seed", "N", "42", "seed");
+        t.parse({"--seed", v});
+        EXPECT_THROW(t.u64Option("--seed"), cli::UsageError) << v;
+    }
+    cli::ArgumentParser edge("test", "");
+    edge.addOption("--trials", "N", "8", "trials");
+    edge.addOption("--seed", "N", "42", "seed");
+    edge.parse({"--trials", "-2147483648", "--seed",
+                "18446744073709551615"});
+    EXPECT_EQ(edge.intOption("--trials"), -2147483647 - 1);
+    EXPECT_EQ(edge.u64Option("--seed"), ~uint64_t(0));
+
 }
 
 // --- json layer -------------------------------------------------------------
@@ -269,6 +294,8 @@ TEST(CliTranspile, NumericFlagsOutOfRangeAreUsageErrors)
         {{"--root", "1"}, "--root"},
         {{"--aggression", "4"}, "--aggression"},
         {{"--aggression", "-2"}, "--aggression"},
+        {{"--trials", "4294967297"}, "--trials"},
+        {{"--seed", "-1"}, "--seed"},
     };
     for (const auto &c : cases) {
         std::vector<std::string> args = {"transpile", qft4Path()};
@@ -704,10 +731,57 @@ TEST(CliReport, RejectsMissingRequiredKeys)
 
 TEST(ExperimentRegistry, CoversTheReproduciblePaperArtifacts)
 {
-    for (const char *name : {"fig8", "fig10", "fig11", "fig12", "fig13",
-                             "table1", "table2", "table3", "fig12-large"})
+    for (const char *name :
+         {"fig3-4", "fig5", "fig6", "fig8", "fig9", "fig10", "fig11",
+          "fig12", "fig13", "table1", "table2", "table3", "fig12-large"})
         EXPECT_NE(cli::findExperiment(name), nullptr) << name;
     EXPECT_EQ(cli::findExperiment("fig7"), nullptr);
+}
+
+TEST(ExperimentRegistry, Fig6AndFig9ReproduceThePaperShapes)
+{
+    std::string schemaError;
+
+    // Fig. 6: every fractional CPHASE (phi = i*pi/8, i < 8) costs k=2
+    // and mirrors into a k=3 pSWAP; CNOT (phi = pi) and its iSWAP
+    // mirror both cost k=2.
+    json::Value fig6 =
+        cli::runExperiment(*cli::findExperiment("fig6"), {});
+    ASSERT_TRUE(cli::validateArtifact(fig6, &schemaError)) << schemaError;
+    const json::Value &rows6 = fig6["rows"];
+    ASSERT_EQ(rows6.size(), 8u);
+    for (size_t i = 0; i < rows6.size(); ++i) {
+        const json::Value &row = rows6.at(i);
+        EXPECT_DOUBLE_EQ(row["phiOverPi"].asNumber(), double(i + 1) / 8.0);
+        EXPECT_EQ(row["cpK"].asInt(), 2) << i;
+        EXPECT_DOUBLE_EQ(row["cpCost"].asNumber(), 1.0) << i;
+        EXPECT_EQ(row["pswapK"].asInt(), i + 1 < 8 ? 3 : 2) << i;
+        EXPECT_DOUBLE_EQ(row["pswapCost"].asNumber(),
+                         i + 1 < 8 ? 1.5 : 1.0)
+            << i;
+    }
+    EXPECT_EQ(rows6.at(7)["cpCoords"].asString(),
+              "(1.000000, 0.000000, 0.000000)pi/4");
+    EXPECT_EQ(rows6.at(7)["pswapCoords"].asString(),
+              "(1.000000, 1.000000, 0.000000)pi/4");
+
+    // Fig. 9: 64 routing passes from one layout land in three minima,
+    // 10 / 19 / 21 pulses hit by 32 / 15 / 17 trials.
+    json::Value fig9 =
+        cli::runExperiment(*cli::findExperiment("fig9"), {});
+    ASSERT_TRUE(cli::validateArtifact(fig9, &schemaError)) << schemaError;
+    EXPECT_EQ(fig9["parameters"]["layoutTrials"].asInt(), 64);
+    const json::Value &rows9 = fig9["rows"];
+    ASSERT_EQ(rows9.size(), 3u);
+    const int pulses[] = {10, 19, 21}, trials[] = {32, 15, 17};
+    for (size_t i = 0; i < 3; ++i) {
+        EXPECT_EQ(rows9.at(i)["depthPulses"].asInt(), pulses[i]) << i;
+        EXPECT_EQ(rows9.at(i)["trials"].asInt(), trials[i]) << i;
+    }
+    EXPECT_EQ(fig9["summary"]["bestPulses"].asInt(), 10);
+    EXPECT_EQ(fig9["summary"]["worstPulses"].asInt(), 21);
+    EXPECT_NE(cli::renderMarkdown(fig9).find("| 10 | 32 |"),
+              std::string::npos);
 }
 
 TEST(ExperimentRegistry, Fig12LargeGatesSparseMemoryAndCounters)

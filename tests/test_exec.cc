@@ -34,8 +34,8 @@ namespace {
 /**
  * Bit-exact circuit comparison (doubles compared with ==, not near).
  * Circuit::bitIdentical is the authoritative check (shared with the
- * bench binaries); the field-by-field EXPECTs below exist to localize
- * a mismatch when it fails.
+ * fig13 and bench experiments); the field-by-field EXPECTs below exist
+ * to localize a mismatch when it fails.
  */
 void
 expectIdenticalCircuits(const Circuit &a, const Circuit &b)
