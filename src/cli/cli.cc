@@ -15,15 +15,14 @@
 #include <cctype>
 #include <csignal>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <sstream>
 
 #include "cli/args.hh"
 #include "cli/experiments.hh"
-#include "circuit/qasm.hh"
 #include "common/atomic_file.hh"
 #include "common/fault.hh"
 #include "common/json.hh"
@@ -49,29 +48,6 @@ class CliError : public std::runtime_error
     {
     }
 };
-
-/** Parse "grid3x3" / "line4" / ... ; `min_qubits` sizes "auto".
- * (Thin wrapper over the shared topology-module parser that maps its
- * invalid_argument to a usage error, exit code 2.) */
-topology::CouplingMap
-parseTopology(const std::string &spec, int min_qubits)
-{
-    try {
-        return topology::CouplingMap::parseSpec(spec, min_qubits);
-    } catch (const std::invalid_argument &e) {
-        throw UsageError(e.what());
-    }
-}
-
-mirage_pass::Flow
-parseFlow(const std::string &name)
-{
-    try {
-        return serve::parseFlow(name);
-    } catch (const serve::RequestError &e) {
-        throw UsageError(e.what());
-    }
-}
 
 /**
  * Validate a --cache DIR value up front: create it if absent, and
@@ -133,28 +109,17 @@ cmdTranspile(const std::vector<std::string> &args, std::ostream &out,
              std::ostream &err)
 {
     ArgumentParser parser("transpile", "<input.qasm | ->");
-    parser.addOption("--topology", "SPEC", "auto",
-                     "device coupling map: grid<R>x<C>, line<N>, "
-                     "ring<N>, heavyhex57, heavyhex433, heavyhex1121, "
-                     "alltoall<N>, auto");
-    parser.addOption("--flow", "NAME", "mirage",
-                     "pipeline flow: sabre, mirage-swaps, mirage");
-    parser.addOption("--trials", "N", "8", "independent layout trials");
-    parser.addOption("--swap-trials", "N", "4",
-                     "routing repeats per layout");
-    parser.addOption("--fwd-bwd", "N", "2", "layout refinement rounds");
+    // The request options come from the schema the serve protocol
+    // reads too, so both front doors share names, defaults and ranges.
+    for (const serve::RequestOption &o : serve::requestOptions()) {
+        if (o.kind == serve::RequestOption::Kind::Bool)
+            parser.addFlag(o.flag, o.help);
+        else
+            parser.addOption(o.flag, o.valueName, o.defaultText, o.help);
+    }
     parser.addOption("--threads", "N", "1",
                      "trial-grid worker threads (0 = all cores); output "
                      "is bit-identical for every value");
-    parser.addOption("--seed", "N", "20240229", "root RNG seed");
-    parser.addOption("--aggression", "N", "-1",
-                     "fixed mirror aggression 0-3 (-1 = 5/45/45/5 mix)");
-    parser.addOption("--root", "N", "2",
-                     "basis gate: the N-th root of iSWAP");
-    parser.addFlag("--no-vf2", "skip the VF2 SWAP-free layout check");
-    parser.addFlag("--lower",
-                   "lower the routed circuit to RootISWAP pulses and "
-                   "measure pulse metrics");
     parser.addOption("--cache", "DIR", "",
                      "equivalence-library cache directory (load before, "
                      "save after; implies faster --lower reruns)");
@@ -162,11 +127,6 @@ cmdTranspile(const std::vector<std::string> &args, std::ostream &out,
                      "fit catalog warm-starting --lower ('none' "
                      "disables; default: $MIRAGE_FIT_CATALOG, then "
                      "./FIT_CATALOG.bin when present)");
-    parser.addOption("--deadline-ms", "N", "0",
-                     "abort with exit 1 if the pipeline exceeds this "
-                     "compute budget (0 = none)");
-    parser.addOption("--format", "FMT", "json",
-                     "output format: json (report) or qasm (circuit)");
     parser.addOption("--output", "FILE", "",
                      "write output here instead of stdout");
     parser.parse(args);
@@ -180,125 +140,71 @@ cmdTranspile(const std::vector<std::string> &args, std::ostream &out,
                          "--help'");
 
     const std::string &path = parser.positionals()[0];
-    const std::string format = parser.option("--format");
-    if (format != "json" && format != "qasm")
-        throw UsageError("unknown --format '" + format +
-                         "' (expected json or qasm)");
-
-    const std::string text = readInput(path);
-    circuit::Circuit input;
+    serve::TranspileRequest req;
+    serve::PreparedTranspile prepared;
     try {
-        input = circuit::fromQasm(text);
-    } catch (const circuit::QasmError &e) {
-        err << "mirage: " << (path == "-" ? "<stdin>" : path) << ":"
-            << e.line() << ":" << e.column() << ": " << e.message()
-            << "\n";
-        return kExitFailure;
+        using Kind = serve::RequestOption::Kind;
+        for (const serve::RequestOption &o : serve::requestOptions()) {
+            if (!parser.optionSeen(o.flag))
+                continue;
+            serve::OptionValue value;
+            switch (o.kind) {
+              case Kind::Text: value = parser.option(o.flag); break;
+              case Kind::Int: value = int64_t(parser.intOption(o.flag)); break;
+              case Kind::Seed: value = parser.u64Option(o.flag); break;
+              case Kind::Bool:
+                value = std::strcmp(o.defaultText, "true") != 0;
+                break;
+            }
+            serve::setOption(req, o, value, o.flag);
+        }
+        req.name = path == "-" ? "<stdin>" : path;
+        req.qasm = readInput(path);
+        prepared = serve::prepareTranspile(req);
+    } catch (const serve::RequestError &e) {
+        if (e.code() == "request")
+            throw UsageError(e.what());
+        throw CliError(e.what());
     }
-    if (input.numQubits() == 0)
-        throw CliError("'" + path + "' declares no qubits");
-
-    mirage_pass::TranspileOptions opts;
-    opts.flow = parseFlow(parser.option("--flow"));
-    opts.rootDegree = parser.intOption("--root");
-    opts.layoutTrials = parser.intOption("--trials");
-    opts.swapTrials = parser.intOption("--swap-trials");
-    opts.forwardBackwardPasses = parser.intOption("--fwd-bwd");
+    mirage_pass::TranspileOptions &opts = req.options;
     opts.threads = parser.intOption("--threads");
-    opts.seed = parser.u64Option("--seed");
-    opts.fixedAggression = parser.intOption("--aggression");
-    opts.tryVf2 = !parser.flag("--no-vf2");
-    opts.lowerToBasis = parser.flag("--lower");
-    if (opts.layoutTrials < 1 || opts.swapTrials < 1)
-        throw UsageError("--trials and --swap-trials must be >= 1");
-    if (opts.forwardBackwardPasses < 0)
-        throw UsageError("--fwd-bwd must be >= 0");
     if (opts.threads < 0)
         throw UsageError("--threads must be >= 0 (0 = all cores)");
-    if (opts.rootDegree < 2)
-        throw UsageError("--root must be >= 2");
-    if (opts.fixedAggression < -1 || opts.fixedAggression > 3)
-        throw UsageError("--aggression must be in [-1, 3] (-1 = mixed)");
-    const int deadlineMs = parser.intOption("--deadline-ms");
-    if (deadlineMs < 0)
-        throw UsageError("--deadline-ms must be >= 0 (0 = none)");
-    if (deadlineMs > 0)
-        opts.deadline = Deadline::afterMs(deadlineMs);
+    if (req.deadlineMs > 0)
+        opts.deadline = Deadline::afterMs(req.deadlineMs);
 
-    const topology::CouplingMap topo =
-        parseTopology(parser.option("--topology"), input.numQubits());
-    if (topo.numQubits() < input.numQubits())
-        throw CliError("topology '" + parser.option("--topology") +
-                       "' has " + std::to_string(topo.numQubits()) +
-                       " qubits but the circuit needs " +
-                       std::to_string(input.numQubits()));
-
-    // Constructing the library preseeds standard-gate fits, so build
-    // it only when the lowering stage will actually run.
-    std::optional<decomp::EquivalenceLibrary> library;
+    // The library preseeds standard-gate fits, so build it only when
+    // the lowering stage will actually run.
     const std::string cacheDir = validateCacheDir(parser.option("--cache"));
-    std::string cacheFile;
+    std::unique_ptr<decomp::EquivalenceLibrary> library;
     if (opts.lowerToBasis) {
-        const std::string catalogPath =
-            decomp::resolveCatalogPath(parser.option("--catalog"));
-        if (!catalogPath.empty()) {
-            // The catalog includes the preseed gates, so a successful
-            // load replaces preseeding entirely (zero cold fits).
-            library.emplace(opts.rootDegree, /*preseed=*/false);
-            const auto loaded =
-                library->loadCacheFileDetailed(catalogPath);
-            if (loaded.status !=
-                decomp::EquivalenceLibrary::CacheLoadStatus::Ok) {
-                err << "mirage: warning: fit catalog "
-                    << (loaded.status == decomp::EquivalenceLibrary::
-                                             CacheLoadStatus::Unreadable
-                            ? "unreadable"
-                            : "malformed")
-                    << ": " << loaded.message << "; fitting cold\n";
-                library.emplace(opts.rootDegree);
-            }
-        } else {
-            library.emplace(opts.rootDegree);
-        }
-        if (!cacheDir.empty()) {
-            cacheFile = cacheDir + "/eqlib-root" +
-                        std::to_string(opts.rootDegree) + ".cache";
-            library->loadCacheFile(cacheFile);
-        }
-        opts.equivalenceLibrary = &*library;
+        decomp::CatalogLoad catalog;
+        library = decomp::loadLibrary(
+            opts.rootDegree, parser.option("--catalog"), cacheDir, &catalog);
+        if (!catalog.path.empty() && !catalog.loaded())
+            err << "mirage: warning: fit catalog "
+                << decomp::cacheLoadStatusName(catalog.result.status) << ": "
+                << catalog.result.message << "; fitting cold\n";
+        opts.equivalenceLibrary = library.get();
     }
 
     mirage_pass::TranspileResult res;
     try {
-        res = mirage_pass::transpile(input, topo, opts);
+        res = mirage_pass::transpile(prepared.input, *prepared.topology,
+                                     opts);
     } catch (const DeadlineError &e) {
         err << "mirage: deadline: " << e.what() << " (budget "
-            << deadlineMs << " ms)\n";
+            << req.deadlineMs << " ms)\n";
         return kExitFailure;
     }
 
-    if (!cacheFile.empty()) {
-        std::error_code ec;
-        std::filesystem::create_directories(cacheDir, ec);
-        if (!library->saveCacheFile(cacheFile))
-            err << "mirage: warning: cannot write cache '" << cacheFile
-                << "'\n";
-    }
+    if (library && !decomp::saveLibraryCache(*library, cacheDir))
+        err << "mirage: warning: cannot write cache '"
+            << decomp::libraryCacheFile(cacheDir, opts.rootDegree) << "'\n";
 
-    if (format == "qasm") {
-        const circuit::Circuit &emitted =
-            res.loweredToBasis ? res.lowered : res.routed;
-        writeOutput(parser.option("--output"), circuit::toQasm(emitted),
-                    out);
-        return kExitSuccess;
-    }
-
-    // The report document is built by the serve module's shared
-    // builder, so a `mirage serve` response is bit-identical to this
-    // one-shot path by construction.
-    json::Value doc = serve::transpileReportJson(
-        path == "-" ? "<stdin>" : path, input, topo, opts, res);
-    writeOutput(parser.option("--output"), doc.dump(2), out);
+    const json::Value output = serve::renderTranspile(req, prepared, res);
+    writeOutput(parser.option("--output"),
+                output.isString() ? output.asString() : output.dump(2), out);
     return kExitSuccess;
 }
 
@@ -701,21 +607,15 @@ cmdServe(const std::vector<std::string> &args, std::ostream &out,
 
     try {
         serve::Engine engine(eopts);
-        if (!engine.catalogPath().empty()) {
-            const auto &load = engine.catalogLoad();
-            using Status =
-                decomp::EquivalenceLibrary::CacheLoadStatus;
-            if (load.status == Status::Ok)
-                err << "mirage: serve: fit catalog '"
-                    << engine.catalogPath() << "' loaded ("
-                    << load.entriesLoaded << " entries)\n";
-            else
-                err << "mirage: serve: warning: fit catalog "
-                    << (load.status == Status::Unreadable
-                            ? "unreadable"
-                            : "malformed")
-                    << ": " << load.message << "; lowering cold\n";
-        }
+        const decomp::CatalogLoad &catalog = engine.catalog();
+        if (catalog.loaded())
+            err << "mirage: serve: fit catalog '" << catalog.path
+                << "' loaded (" << catalog.result.entriesLoaded
+                << " entries)\n";
+        else if (!catalog.path.empty())
+            err << "mirage: serve: warning: fit catalog "
+                << decomp::cacheLoadStatusName(catalog.result.status) << ": "
+                << catalog.result.message << "; lowering cold\n";
         if (stdio) {
             const uint64_t n = serve::serveStdio(engine, std::cin, out);
             err << "mirage: serve: handled " << n << " request(s)\n";

@@ -11,7 +11,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <filesystem>
 #include <map>
 
 #include "bench_circuits/generators.hh"
@@ -39,7 +38,7 @@ struct ResolvedKnobs
     int threads;
     int mcIterations;
     std::string cacheDir;
-    std::string catalogPath; ///< RESOLVED path ("" = no catalog)
+    std::string catalog; ///< catalog knob (decomp::loadLibrary)
 };
 
 ResolvedKnobs
@@ -54,7 +53,7 @@ resolve(const SweepKnobs &k, int seeds, int trials, int swapTrials,
     r.threads = k.threads;
     r.mcIterations = k.mcIterations >= 0 ? k.mcIterations : mcIterations;
     r.cacheDir = k.cacheDir;
-    r.catalogPath = decomp::resolveCatalogPath(k.catalogPath);
+    r.catalog = k.catalogPath;
     return r;
 }
 
@@ -156,80 +155,15 @@ millisSince(std::chrono::steady_clock::time_point start)
         .count();
 }
 
-std::string
-cacheFilePath(const std::string &dir, int root_degree)
-{
-    return dir + "/eqlib-root" + std::to_string(root_degree) + ".cache";
-}
-
-/** Load a shared equivalence-library cache when a cache dir is set. */
-void
-loadLibraryCache(decomp::EquivalenceLibrary &lib, const std::string &dir)
-{
-    if (!dir.empty())
-        lib.loadCacheFile(cacheFilePath(dir, lib.rootDegree()));
-}
-
-/** Persist the library cache (creating the directory) when enabled. */
-void
-saveLibraryCache(const decomp::EquivalenceLibrary &lib,
-                 const std::string &dir)
-{
-    if (dir.empty())
-        return;
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    lib.saveCacheFile(cacheFilePath(dir, lib.rootDegree()));
-}
-
-/** How a lowering experiment obtained its equivalence library. */
-struct CatalogUse
-{
-    std::string path; ///< resolved catalog path ("" = none in play)
-    bool loaded = false;
-    size_t entries = 0;
-    std::string message; ///< diagnostic when a resolved path failed
-};
-
-/**
- * Library for a lowering experiment: warm-started from the resolved
- * catalog when one is available (preseeding skipped -- the catalog
- * already contains the standard gates), preseeded cold otherwise. A
- * catalog that resolves but fails to load falls back to a cold library
- * and carries the load diagnostic in `use`.
- */
-std::unique_ptr<decomp::EquivalenceLibrary>
-makeLibrary(int root_degree, const ResolvedKnobs &knobs, CatalogUse *use)
-{
-    CatalogUse u;
-    u.path = knobs.catalogPath;
-    if (!u.path.empty()) {
-        auto lib = std::make_unique<decomp::EquivalenceLibrary>(
-            root_degree, /*preseed=*/false);
-        auto res = lib->loadCacheFileDetailed(u.path);
-        if (res.status == decomp::EquivalenceLibrary::CacheLoadStatus::Ok) {
-            u.loaded = true;
-            u.entries = res.entriesLoaded;
-            if (use)
-                *use = u;
-            return lib;
-        }
-        u.message = res.message;
-    }
-    if (use)
-        *use = u;
-    return std::make_unique<decomp::EquivalenceLibrary>(root_degree);
-}
-
 /** Record catalog usage in an artifact's summary object. */
 void
-setCatalogSummary(json::Value &summary, const CatalogUse &use)
+setCatalogSummary(json::Value &summary, const decomp::CatalogLoad &use)
 {
     summary.set("catalogPath", use.path);
-    summary.set("catalogLoaded", use.loaded);
-    summary.set("catalogEntries", uint64_t(use.entries));
-    if (!use.message.empty())
-        summary.set("catalogError", use.message);
+    summary.set("catalogLoaded", use.loaded());
+    summary.set("catalogEntries", uint64_t(use.result.entriesLoaded));
+    if (!use.result.message.empty())
+        summary.set("catalogError", use.result.message);
 }
 
 // --- experiments ------------------------------------------------------------
@@ -763,14 +697,14 @@ runFig13(const SweepKnobs &userKnobs)
     // (pure cache hits) over one shared equivalence library.
     opts.threads = knobs.threads;
     opts.lowerToBasis = true;
-    decomp::EquivalenceLibrary lib(opts.rootDegree);
-    loadLibraryCache(lib, knobs.cacheDir);
-    opts.equivalenceLibrary = &lib;
+    auto lib = decomp::loadLibrary(opts.rootDegree, decomp::kCatalogDisabled,
+                                   knobs.cacheDir);
+    opts.equivalenceLibrary = lib.get();
 
     t0 = std::chrono::steady_clock::now();
     mirage_pass::transpileMany(circuits, grid, opts);
     double cold_ms = millisSince(t0);
-    uint64_t cold_fits = lib.fitCount();
+    uint64_t cold_fits = lib->fitCount();
 
     t0 = std::chrono::steady_clock::now();
     auto warm = mirage_pass::transpileMany(circuits, grid, opts);
@@ -778,7 +712,7 @@ runFig13(const SweepKnobs &userKnobs)
     int warm_fits = 0;
     for (const auto &r : warm)
         warm_fits += r.translateStats.newFits;
-    saveLibraryCache(lib, knobs.cacheDir);
+    decomp::saveLibraryCache(*lib, knobs.cacheDir);
 
     json::Value rows = json::Value::array();
     auto addRow = [&rows](const char *stage, double ms,
@@ -955,15 +889,15 @@ runTable3(const SweepKnobs &userKnobs)
 
     auto opts = sweepOptions(mirage_pass::Flow::MirageDepth, 0xB3, knobs);
     opts.lowerToBasis = true;
-    CatalogUse catalog;
-    auto lib = makeLibrary(opts.rootDegree, knobs, &catalog);
-    loadLibraryCache(*lib, knobs.cacheDir);
+    decomp::CatalogLoad catalog;
+    auto lib = decomp::loadLibrary(opts.rootDegree, knobs.catalog,
+                                   knobs.cacheDir, &catalog);
     opts.equivalenceLibrary = lib.get();
 
     auto t0 = std::chrono::steady_clock::now();
     auto results = mirage_pass::transpileMany(circuits, grid, opts);
     double elapsed_ms = millisSince(t0);
-    saveLibraryCache(*lib, knobs.cacheDir);
+    decomp::saveLibraryCache(*lib, knobs.cacheDir);
 
     json::Value rows = json::Value::array();
     bool all_equal = true;
@@ -1072,21 +1006,9 @@ runBenchLowering(const SweepKnobs &userKnobs)
         cold_ms[i] = millisSince(t0);
     }
 
-    CatalogUse catalog;
-    catalog.path = knobs.catalogPath;
-    std::unique_ptr<decomp::EquivalenceLibrary> warm_lib;
-    if (!catalog.path.empty()) {
-        warm_lib = std::make_unique<decomp::EquivalenceLibrary>(
-            2, /*preseed=*/false);
-        auto res = warm_lib->loadCacheFileDetailed(catalog.path);
-        if (res.status == decomp::EquivalenceLibrary::CacheLoadStatus::Ok) {
-            catalog.loaded = true;
-            catalog.entries = res.entriesLoaded;
-        } else {
-            catalog.message = res.message;
-            warm_lib.reset();
-        }
-    }
+    decomp::CatalogLoad catalog;
+    auto warm_lib = decomp::loadLibrary(2, knobs.catalog, "", &catalog,
+                                        /*preseed_fallback=*/false);
     decomp::EquivalenceLibrary &warm = warm_lib ? *warm_lib : cold;
 
     std::vector<decomp::TranslateStats> warm_stats(routed.size());
@@ -1494,9 +1416,8 @@ runMirrorFamily(const SweepKnobs &userKnobs, bool qv)
         size_t(userKnobs.suiteLimit) < widths.size())
         widths.resize(size_t(userKnobs.suiteLimit));
 
-    CatalogUse catalog;
-    auto lib = makeLibrary(2, knobs, &catalog);
-    loadLibraryCache(*lib, knobs.cacheDir);
+    decomp::CatalogLoad catalog;
+    auto lib = decomp::loadLibrary(2, knobs.catalog, knobs.cacheDir, &catalog);
 
     json::Value rows = json::Value::array();
     bool all_verified = true;
@@ -1548,7 +1469,7 @@ runMirrorFamily(const SweepKnobs &userKnobs, bool qv)
             rows.push(std::move(row));
         }
     }
-    saveLibraryCache(*lib, knobs.cacheDir);
+    decomp::saveLibraryCache(*lib, knobs.cacheDir);
 
     json::Value out = json::Value::object();
     json::Value params = parametersJson(knobs);

@@ -55,16 +55,22 @@ class Deadline
     /** Inactive token: active() is false, check() never throws. */
     Deadline() = default;
 
-    /** A token that expires `ms` milliseconds from now. */
+    /**
+     * A token that expires `ms` milliseconds from now. A budget past
+     * what the clock can represent saturates at the clock's end of
+     * time instead of overflowing the conversion.
+     */
     static Deadline
     afterMs(double ms)
     {
         Deadline d;
         d.state_ = std::make_shared<State>();
+        const auto now = Clock::now();
+        const std::chrono::duration<double, std::milli> budget(ms);
         d.state_->expiry =
-            Clock::now() +
-            std::chrono::duration_cast<Clock::duration>(
-                std::chrono::duration<double, std::milli>(ms));
+            budget < Clock::time_point::max() - now
+                ? now + std::chrono::duration_cast<Clock::duration>(budget)
+                : Clock::time_point::max();
         return d;
     }
 

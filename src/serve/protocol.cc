@@ -1,13 +1,19 @@
 /**
  * @file
- * Serve protocol implementation: request parsing/validation, the
- * circuit/options fingerprints keying the result memo cache, and the
- * transpile report builder shared with the one-shot CLI path.
+ * Serve protocol implementation: the request option schema and its
+ * checks, the prepare/render steps shared with the one-shot CLI path,
+ * the circuit/options fingerprints keying the result memo cache, and
+ * the transpile report builder.
  */
 
 #include "serve/protocol.hh"
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
+
+#include "circuit/qasm.hh"
 
 namespace mirage::serve {
 
@@ -76,12 +82,157 @@ flowName(mirage_pass::Flow flow)
     return "?";
 }
 
+namespace {
+
+constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+
+[[noreturn]] void
+rangeError(const RequestOption &o, const std::string &who)
+{
+    if (o.kind == RequestOption::Kind::Seed)
+        throw RequestError("request",
+                           who + " must be between 0 and 2^64-1");
+    throw RequestError("request", who + " must be between " +
+                                      std::to_string(o.min) + " and " +
+                                      std::to_string(o.max));
+}
+
+/** Largest double below 2^64: every double in [0, this] fits uint64. */
+constexpr double kSeedMax = 0x1.fffffffffffffp63;
+
+OptionValue
+fromJson(const RequestOption &o, const json::Value &v, const std::string &who)
+{
+    using Kind = RequestOption::Kind;
+    if (o.kind == Kind::Text) {
+        if (!v.isString())
+            throw RequestError("request", who + " must be a string");
+        return v.asString();
+    }
+    if (o.kind == Kind::Bool) {
+        if (!v.isBool())
+            throw RequestError("request", who + " must be a boolean");
+        return v.asBool();
+    }
+    if (!v.isNumber())
+        throw RequestError("request", who + " must be a number");
+    const double d = v.asNumber();
+    if (!std::isfinite(d) || d != std::trunc(d))
+        throw RequestError("request", who + " must be an integer");
+    // Convert only what fits the value type; setOption checks the range.
+    if (o.kind == Kind::Int) {
+        if (!(d >= -0x1p63 && d < 0x1p63))
+            rangeError(o, who);
+        return int64_t(d);
+    }
+    if (!(d >= 0 && d <= kSeedMax))
+        rangeError(o, who);
+    return uint64_t(d);
+}
+
+/** An Int option's value, in int range by its schema bounds. */
+int
+integer(const OptionValue &v)
+{
+    return int(std::get<int64_t>(v));
+}
+
+} // namespace
+
+const std::vector<RequestOption> &
+requestOptions()
+{
+    using Kind = RequestOption::Kind;
+    using R = TranspileRequest;
+    using V = OptionValue;
+    static const std::vector<RequestOption> schema = {
+        {"topology", "--topology", Kind::Text, "auto", 0, 0, "SPEC",
+         "device coupling map: grid<R>x<C>, line<N>, ring<N>, heavyhex57, "
+         "heavyhex433, heavyhex1121, alltoall<N>, auto",
+         [](R &r, const V &v) { r.topology = std::get<std::string>(v); }},
+        {"flow", "--flow", Kind::Text, "mirage", 0, 0, "NAME",
+         "pipeline flow: sabre, mirage-swaps, mirage",
+         [](R &r, const V &v) {
+             r.options.flow = parseFlow(std::get<std::string>(v));
+         }},
+        {"trials", "--trials", Kind::Int, "8", 1, kIntMax, "N",
+         "independent layout trials",
+         [](R &r, const V &v) { r.options.layoutTrials = integer(v); }},
+        {"swapTrials", "--swap-trials", Kind::Int, "4", 1, kIntMax, "N",
+         "routing repeats per layout",
+         [](R &r, const V &v) { r.options.swapTrials = integer(v); }},
+        {"fwdBwd", "--fwd-bwd", Kind::Int, "2", 0, kIntMax, "N",
+         "layout refinement rounds",
+         [](R &r, const V &v) {
+             r.options.forwardBackwardPasses = integer(v);
+         }},
+        {"seed", "--seed", Kind::Seed, "20240229", 0, 0, "N",
+         "root RNG seed",
+         [](R &r, const V &v) { r.options.seed = std::get<uint64_t>(v); }},
+        {"aggression", "--aggression", Kind::Int, "-1", -1, 3, "N",
+         "fixed mirror aggression 0-3 (-1 = 5/45/45/5 mix)",
+         [](R &r, const V &v) { r.options.fixedAggression = integer(v); }},
+        {"root", "--root", Kind::Int, "2", 2, kIntMax, "N",
+         "basis gate: the N-th root of iSWAP",
+         [](R &r, const V &v) { r.options.rootDegree = integer(v); }},
+        {"vf2", "--no-vf2", Kind::Bool, "true", 0, 0, "",
+         "skip the VF2 SWAP-free layout check",
+         [](R &r, const V &v) { r.options.tryVf2 = std::get<bool>(v); }},
+        {"lower", "--lower", Kind::Bool, "false", 0, 0, "",
+         "lower the routed circuit to RootISWAP pulses and measure pulse "
+         "metrics",
+         [](R &r, const V &v) {
+             r.options.lowerToBasis = std::get<bool>(v);
+         }},
+        {"deadlineMs", "--deadline-ms", Kind::Int, "0", 0, kIntMax, "N",
+         "abort with exit 1 if the pipeline exceeds this compute budget "
+         "(0 = none)",
+         [](R &r, const V &v) { r.deadlineMs = integer(v); }},
+        {"format", "--format", Kind::Text, "json", 0, 0, "FMT",
+         "output format: json (report) or qasm (circuit)",
+         [](R &r, const V &v) {
+             const std::string &f = std::get<std::string>(v);
+             if (f != "json" && f != "qasm")
+                 throw RequestError("request", "unknown format '" + f +
+                                                   "' (expected json or "
+                                                   "qasm)");
+             r.format = f;
+         }},
+    };
+    return schema;
+}
+
+TranspileRequest::TranspileRequest()
+{
+    using Kind = RequestOption::Kind;
+    for (const RequestOption &o : requestOptions()) {
+        const std::string text = o.defaultText;
+        o.store(*this, o.kind == Kind::Text   ? OptionValue(text)
+                       : o.kind == Kind::Bool ? OptionValue(text == "true")
+                       : o.kind == Kind::Int
+                           ? OptionValue(int64_t(std::stoll(text)))
+                           : OptionValue(uint64_t(std::stoull(text))));
+    }
+}
+
+void
+setOption(TranspileRequest &req, const RequestOption &o,
+          const OptionValue &value, const std::string &who)
+{
+    if (o.kind == RequestOption::Kind::Int) {
+        const int64_t v = std::get<int64_t>(value);
+        if (v < o.min || v > o.max)
+            rangeError(o, who);
+    }
+    o.store(req, value);
+}
+
 TranspileRequest
 parseTranspileRequest(const json::Value &doc)
 {
-    TranspileRequest req;
     if (!doc.isObject())
         throw RequestError("request", "request must be a JSON object");
+    TranspileRequest req;
     if (const json::Value *id = doc.find("id"))
         req.id = *id;
 
@@ -117,101 +268,61 @@ parseTranspileRequest(const json::Value &doc)
     const json::Value *options = doc.find("options");
     if (!options)
         return req;
-
-    auto intField = [](const json::Value &v, const std::string &key) {
-        if (!v.isNumber())
-            throw RequestError("request", "option '" + key +
-                                              "' must be a number");
-        double d = v.asNumber();
-        auto i = int64_t(d);
-        if (double(i) != d)
-            throw RequestError("request", "option '" + key +
-                                              "' must be an integer");
-        return i;
-    };
-    auto boolField = [](const json::Value &v, const std::string &key) {
-        if (!v.isBool())
-            throw RequestError("request", "option '" + key +
-                                              "' must be a boolean");
-        return v.asBool();
-    };
-    auto requirePositive = [](int64_t v, const std::string &key) {
-        if (v < 1)
-            throw RequestError("request", "option '" + key +
-                                              "' must be >= 1");
-        return int(v);
-    };
-
-    mirage_pass::TranspileOptions &o = req.options;
+    const auto &schema = requestOptions();
     for (const auto &[key, value] : options->members()) {
-        if (key == "topology") {
-            if (!value.isString())
-                throw RequestError("request",
-                                   "option 'topology' must be a string");
-            req.topology = value.asString();
-        } else if (key == "format") {
-            if (!value.isString())
-                throw RequestError("request",
-                                   "option 'format' must be a string");
-            req.format = value.asString();
-            if (req.format != "json" && req.format != "qasm")
-                throw RequestError("request", "unknown format '" +
-                                                  req.format +
-                                                  "' (expected json or "
-                                                  "qasm)");
-        } else if (key == "flow") {
-            if (!value.isString())
-                throw RequestError("request",
-                                   "option 'flow' must be a string");
-            o.flow = parseFlow(value.asString());
-        } else if (key == "trials") {
-            o.layoutTrials = requirePositive(intField(value, key), key);
-        } else if (key == "swapTrials") {
-            o.swapTrials = requirePositive(intField(value, key), key);
-        } else if (key == "fwdBwd") {
-            int64_t v = intField(value, key);
-            if (v < 0)
-                throw RequestError("request",
-                                   "option 'fwdBwd' must be >= 0");
-            o.forwardBackwardPasses = int(v);
-        } else if (key == "seed") {
-            int64_t v = intField(value, key);
-            if (v < 0)
-                throw RequestError("request",
-                                   "option 'seed' must be >= 0");
-            o.seed = uint64_t(v);
-        } else if (key == "aggression") {
-            int64_t v = intField(value, key);
-            if (v < -1 || v > 3)
-                throw RequestError("request",
-                                   "option 'aggression' must be between "
-                                   "-1 (mixed) and 3");
-            o.fixedAggression = int(v);
-        } else if (key == "root") {
-            int64_t v = intField(value, key);
-            if (v < 2)
-                throw RequestError("request",
-                                   "option 'root' must be >= 2");
-            o.rootDegree = int(v);
-        } else if (key == "lower") {
-            o.lowerToBasis = boolField(value, key);
-        } else if (key == "vf2") {
-            o.tryVf2 = boolField(value, key);
-        } else if (key == "deadlineMs") {
-            if (!value.isNumber())
-                throw RequestError("request",
-                                   "option 'deadlineMs' must be a number");
-            double v = value.asNumber();
-            if (v < 1)
-                throw RequestError("request",
-                                   "option 'deadlineMs' must be >= 1");
-            req.deadlineMs = v;
-        } else {
-            throw RequestError("request",
-                               "unknown option '" + key + "'");
-        }
+        auto o = std::find_if(schema.begin(), schema.end(),
+                              [&key = key](const RequestOption &s) {
+                                  return key == s.key;
+                              });
+        if (o == schema.end())
+            throw RequestError("request", "unknown option '" + key + "'");
+        const std::string who = "option '" + key + "'";
+        setOption(req, *o, fromJson(*o, value, who), who);
     }
     return req;
+}
+
+PreparedTranspile
+prepareTranspile(const TranspileRequest &req, const TopologyResolver &resolve)
+{
+    PreparedTranspile p;
+    try {
+        p.input = circuit::fromQasm(req.qasm);
+    } catch (const circuit::QasmError &e) {
+        throw RequestError("qasm", req.name + ":" + std::to_string(e.line()) +
+                                       ":" + std::to_string(e.column()) +
+                                       ": " + e.message());
+    }
+    const int needed = p.input.numQubits();
+    if (needed == 0)
+        throw RequestError("input", "'" + req.name + "' declares no qubits");
+    try {
+        p.topology = resolve
+                         ? resolve(req.topology, p.input)
+                         : std::make_shared<const topology::CouplingMap>(
+                               topology::CouplingMap::parseSpec(req.topology,
+                                                                needed));
+    } catch (const std::invalid_argument &e) {
+        throw RequestError("request", e.what());
+    }
+    if (p.topology->numQubits() < needed)
+        throw RequestError("input", "topology '" + req.topology + "' has " +
+                                        std::to_string(
+                                            p.topology->numQubits()) +
+                                        " qubits but the circuit needs " +
+                                        std::to_string(needed));
+    return p;
+}
+
+json::Value
+renderTranspile(const TranspileRequest &req, const PreparedTranspile &prepared,
+                const mirage_pass::TranspileResult &result)
+{
+    if (req.format == "qasm")
+        return circuit::toQasm(result.loweredToBasis ? result.lowered
+                                                     : result.routed);
+    return transpileReportJson(req.name, prepared.input, *prepared.topology,
+                               req.options, result);
 }
 
 uint64_t

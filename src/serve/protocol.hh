@@ -12,18 +12,24 @@
  * failures carry a structured `error` {code, message} instead of
  * killing the connection or the server.
  *
- * This header also hosts the pieces the one-shot CLI path shares with
- * the server -- flow-name parsing and the transpile report builder --
- * so a served response is bit-identical to `mirage transpile` output
- * by construction, not by parallel evolution.
+ * This header also hosts the one transpile request path the one-shot
+ * CLI shares with the server: the option schema (JSON key, flag,
+ * default and range of every option), prepareTranspile() and
+ * renderTranspile(). So a served response is bit-identical to
+ * `mirage transpile` output with the same options by construction,
+ * not by parallel evolution.
  */
 
 #ifndef MIRAGE_SERVE_PROTOCOL_HH
 #define MIRAGE_SERVE_PROTOCOL_HH
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <variant>
+#include <vector>
 
 #include "circuit/circuit.hh"
 #include "common/json.hh"
@@ -77,28 +83,69 @@ class OverloadedError : public RequestError
     double retryAfterMs_;
 };
 
-/** One parsed transpile request (transport- and cache-agnostic). */
+struct TranspileRequest;
+
+/** A request option value, typed by its option's Kind. */
+using OptionValue = std::variant<std::string, int64_t, uint64_t, bool>;
+
+/**
+ * One transpile request option, as both front doors spell it: its JSON
+ * key inside a serve request's "options", its `mirage transpile` flag,
+ * the default both share, and its range. requestOptions() is the whole
+ * schema; every range check on request numbers happens against it,
+ * before any narrowing cast.
+ */
+struct RequestOption
+{
+    enum class Kind
+    {
+        Text, ///< string (OptionValue holds std::string)
+        Int,  ///< integer in [min, max] (int64_t)
+        Seed, ///< integer in [0, 2^64-1] (uint64_t)
+        Bool, ///< bool; its flag takes no value and flips the default
+    };
+    const char *key;
+    const char *flag;
+    Kind kind;
+    const char *defaultText; ///< the default, spelled as flag text
+    int64_t min, max;        ///< inclusive range of an Int option
+    const char *valueName;   ///< --help placeholder ("" for Bool)
+    const char *help;        ///< --help text
+    /** Store a checked value; throws RequestError on a bad choice. */
+    void (*store)(TranspileRequest &, const OptionValue &);
+};
+
+/** The request option schema, in --help order. */
+const std::vector<RequestOption> &requestOptions();
+
+/**
+ * One transpile request (transport- and cache-agnostic), filled from
+ * JSON by parseTranspileRequest() or from flags through setOption().
+ */
 struct TranspileRequest
 {
+    /** Every option at its requestOptions() default. */
+    TranspileRequest();
+
     /** Echoed verbatim in the response; null when the client sent none. */
     json::Value id;
-    /** Label used as the report's input.file (default "<request>"). */
+    /** Label of the input: the report's input.file and the prefix of
+     * QASM error locations. */
     std::string name = "<request>";
     /** OpenQASM 2 source of the circuit to transpile. */
     std::string qasm;
     /** Device spec (topology::CouplingMap::parseSpec forms). */
-    std::string topology = "auto";
+    std::string topology;
     /** "json" (full report) or "qasm" (routed/lowered circuit). */
-    std::string format = "json";
+    std::string format;
     /**
-     * Pipeline options. threads/pool/equivalenceLibrary are engine-wide
-     * and not client-settable; requests only choose the deterministic
-     * knobs (flow, trials, seed, aggression, root, lower, vf2).
+     * Pipeline options. threads/pool/equivalenceLibrary/deadline are
+     * set by the front door, not by request options.
      */
     mirage_pass::TranspileOptions options;
     /**
-     * Per-request compute budget in milliseconds (0 = none). The engine
-     * caps it at its own --deadline-ms when one is set. NOT part of the
+     * Compute budget in milliseconds (0 = none). The serve engine caps
+     * it at its own --deadline-ms when one is set. NOT part of the
      * cache key: a deadline never changes a completed result, only
      * whether one is produced.
      */
@@ -106,13 +153,56 @@ struct TranspileRequest
 };
 
 /**
- * Parse the `options`/`qasm`/`name`/`topology`/`format` fields of a
- * transpile request document. Throws RequestError on unknown keys,
- * ill-typed values, or out-of-range numerics (same bounds the CLI
- * enforces: trials/swap-trials >= 1, fwd-bwd >= 0, root >= 2,
- * aggression in [-1, 3]).
+ * Parse the `options`/`qasm`/`name` fields of a transpile request
+ * document. Throws RequestError("request") on unknown keys, ill-typed
+ * values, or out-of-range numbers, naming the option as "option
+ * '<key>'".
  */
 TranspileRequest parseTranspileRequest(const json::Value &doc);
+
+/**
+ * Store `value` (of `option`'s kind) in `req` after the range check
+ * every request number goes through. Throws RequestError("request")
+ * naming the option as `who` (its flag, or "option '<key>'").
+ */
+void setOption(TranspileRequest &req, const RequestOption &option,
+               const OptionValue &value, const std::string &who);
+
+/** A request's circuit and the device it runs on. */
+struct PreparedTranspile
+{
+    circuit::Circuit input;
+    std::shared_ptr<const topology::CouplingMap> topology;
+};
+
+/**
+ * Resolves a device spec for the parsed `input` circuit; throws
+ * std::invalid_argument on a bad spec (as CouplingMap::parseSpec does)
+ * and may throw RequestError to refuse the circuit before any topology
+ * is built (the serve engine's size caps).
+ */
+using TopologyResolver =
+    std::function<std::shared_ptr<const topology::CouplingMap>(
+        const std::string &spec, const circuit::Circuit &input)>;
+
+/**
+ * The checks both front doors run before routing: parse `req.qasm`
+ * (RequestError "qasm", located as "<req.name>:line:col: ..."), reject
+ * a circuit that declares no qubits ("input"), resolve `req.topology`
+ * through `resolve` (empty = CouplingMap::parseSpec sized by the
+ * circuit; a bad spec is "request"), and reject a device smaller than
+ * the circuit ("input").
+ */
+PreparedTranspile prepareTranspile(const TranspileRequest &req,
+                                   const TopologyResolver &resolve = {});
+
+/**
+ * `result` in `req.format`: the transpileReportJson() object ("json"),
+ * or a string holding the lowered, else routed, circuit's QASM.
+ */
+json::Value renderTranspile(const TranspileRequest &req,
+                            const PreparedTranspile &prepared,
+                            const mirage_pass::TranspileResult &result);
 
 /** Flow name <-> enum (shared with the CLI's --flow flag). */
 mirage_pass::Flow parseFlow(const std::string &name); ///< throws RequestError

@@ -18,11 +18,9 @@
 
 #include <chrono>
 #include <cstring>
-#include <filesystem>
 #include <istream>
 #include <ostream>
 
-#include "circuit/qasm.hh"
 #include "common/deadline.hh"
 #include "common/fault.hh"
 #include "decomp/catalog.hh"
@@ -39,22 +37,13 @@ Engine::Engine(EngineOptions opts)
         opts_.maxBatch = 1;
 
     // Warm the root-2 library from the committed fit catalog before
-    // serving: the catalog includes the preseed gates, so a successful
-    // load means the first --lower request fits nothing. A failed load
-    // is recorded (unreadable vs malformed) and libraryFor() falls back
-    // to its normal preseeded path for that root.
-    catalogPath_ = decomp::resolveCatalogPath(opts_.catalogPath);
-    if (!catalogPath_.empty()) {
-        auto lib = std::make_unique<decomp::EquivalenceLibrary>(
-            2, /*preseed=*/false);
-        catalogLoad_ = lib->loadCacheFileDetailed(catalogPath_);
-        if (catalogLoad_.status ==
-            decomp::EquivalenceLibrary::CacheLoadStatus::Ok) {
-            if (!opts_.cacheDir.empty())
-                lib->loadCacheFile(opts_.cacheDir + "/eqlib-root2.cache");
-            libraries_.emplace(2, std::move(lib));
-        }
-    }
+    // serving, so the first --lower request fits nothing. A failed load
+    // is recorded (unreadable vs malformed) and libraryFor() later
+    // builds that root's preseeded library on first use.
+    if (auto lib = decomp::loadLibrary(decomp::kCatalogRootDegree,
+                                       opts_.catalogPath, opts_.cacheDir,
+                                       &catalog_, /*preseed_fallback=*/false))
+        libraries_.emplace(decomp::kCatalogRootDegree, std::move(lib));
 
     dispatcher_ = std::thread([this] { dispatcherLoop(); });
 }
@@ -70,16 +59,9 @@ Engine::~Engine()
     if (dispatcher_.joinable())
         dispatcher_.join();
 
-    if (!opts_.cacheDir.empty()) {
-        std::error_code ec;
-        std::filesystem::create_directories(opts_.cacheDir, ec);
-        std::lock_guard<std::mutex> lock(libMutex_);
-        for (const auto &[root, lib] : libraries_) {
-            const std::string file = opts_.cacheDir + "/eqlib-root" +
-                                     std::to_string(root) + ".cache";
-            lib->saveCacheFile(file);
-        }
-    }
+    std::lock_guard<std::mutex> lock(libMutex_);
+    for (const auto &entry : libraries_)
+        decomp::saveLibraryCache(*entry.second, opts_.cacheDir);
 }
 
 void
@@ -109,13 +91,11 @@ Engine::libraryFor(int root_degree)
     auto it = libraries_.find(root_degree);
     if (it != libraries_.end())
         return it->second.get();
-    auto lib = std::make_unique<decomp::EquivalenceLibrary>(root_degree);
-    if (!opts_.cacheDir.empty()) {
-        const std::string file = opts_.cacheDir + "/eqlib-root" +
-                                 std::to_string(root_degree) + ".cache";
-        lib->loadCacheFile(file);
-    }
-    return libraries_.emplace(root_degree, std::move(lib))
+    // The catalog was tried once, at construction.
+    return libraries_
+        .emplace(root_degree,
+                 decomp::loadLibrary(root_degree, decomp::kCatalogDisabled,
+                                     opts_.cacheDir))
         .first->second.get();
 }
 
@@ -125,13 +105,8 @@ Engine::resolveTopology(const std::string &spec, int min_qubits)
     // Resolve "auto" to the concrete grid it would pick BEFORE keying
     // the cache: two different-width circuits under "auto" may need
     // different grids, and must not alias each other's entry.
-    std::string key = spec;
-    if (spec == "auto") {
-        int side = 1;
-        while (side * side < min_qubits)
-            ++side;
-        key = "grid" + std::to_string(side) + "x" + std::to_string(side);
-    }
+    const std::string key =
+        topology::CouplingMap::concreteSpec(spec, min_qubits);
     {
         std::lock_guard<std::mutex> lock(topoMutex_);
         auto it = topologies_.find(key);
@@ -141,13 +116,8 @@ Engine::resolveTopology(const std::string &spec, int min_qubits)
     // Build outside the lock (heavyhex1121 construction does real BFS
     // work); a racing duplicate build is harmless -- last writer wins
     // and both maps are identical.
-    std::shared_ptr<const topology::CouplingMap> built;
-    try {
-        built = std::make_shared<const topology::CouplingMap>(
-            topology::CouplingMap::parseSpec(key, min_qubits));
-    } catch (const std::invalid_argument &e) {
-        throw RequestError("request", e.what());
-    }
+    auto built = std::make_shared<const topology::CouplingMap>(
+        topology::CouplingMap::parseSpec(key, min_qubits));
     std::lock_guard<std::mutex> lock(topoMutex_);
     topologies_[key] = built;
     return built;
@@ -346,37 +316,7 @@ Engine::handleTranspile(const json::Value &doc, const json::Value &id)
     if (shuttingDown_.load())
         throw RequestError("shutdown", "server is shutting down");
 
-    TranspileRequest req = parseTranspileRequest(doc);
-    circuit::Circuit input;
-    try {
-        input = circuit::fromQasm(req.qasm);
-    } catch (const circuit::QasmError &e) {
-        throw RequestError("qasm", "qasm:" + std::to_string(e.line()) +
-                                       ":" + std::to_string(e.column()) +
-                                       ": " + e.message());
-    }
-    if (input.numQubits() == 0)
-        throw RequestError("input", "circuit declares no qubits");
-
-    // Per-request size caps: a single huge circuit must not be able to
-    // monopolize the worker pool of a shared server.
-    if ((opts_.maxQubits > 0 && input.numQubits() > opts_.maxQubits) ||
-        (opts_.maxGates > 0 && int(input.size()) > opts_.maxGates)) {
-        {
-            std::lock_guard<std::mutex> lock(countersMutex_);
-            ++counters_.tooLarge;
-        }
-        throw RequestError(
-            "toolarge",
-            "circuit (" + std::to_string(input.numQubits()) + " qubits, " +
-                std::to_string(input.size()) + " gates) exceeds server caps" +
-                (opts_.maxQubits > 0
-                     ? " maxQubits=" + std::to_string(opts_.maxQubits)
-                     : "") +
-                (opts_.maxGates > 0
-                     ? " maxGates=" + std::to_string(opts_.maxGates)
-                     : ""));
-    }
+    const TranspileRequest req = parseTranspileRequest(doc);
 
     // Effective deadline: the request's budget capped by the server's.
     // The clock starts HERE, at admission, so time spent queued behind
@@ -389,14 +329,36 @@ Engine::handleTranspile(const json::Value &doc, const json::Value &id)
     if (deadline_ms > 0)
         deadline = Deadline::afterMs(deadline_ms);
 
-    auto topo = resolveTopology(req.topology, input.numQubits());
-    if (topo->numQubits() < input.numQubits())
-        throw RequestError("input",
-                           "topology '" + req.topology + "' has " +
-                               std::to_string(topo->numQubits()) +
-                               " qubits but the circuit needs " +
-                               std::to_string(input.numQubits()));
-
+    // Per-request size caps: a single huge circuit must not be able to
+    // monopolize the worker pool of a shared server. They run in the
+    // resolver, after the parse and before any topology is built:
+    // "auto" sizes its grid from the declared qubit count, so a huge
+    // qreg must be refused before it builds (and caches) a huge grid.
+    auto admitAndResolve = [this](const std::string &spec,
+                                  const circuit::Circuit &input) {
+        if ((opts_.maxQubits > 0 && input.numQubits() > opts_.maxQubits) ||
+            (opts_.maxGates > 0 && int(input.size()) > opts_.maxGates)) {
+            {
+                std::lock_guard<std::mutex> lock(countersMutex_);
+                ++counters_.tooLarge;
+            }
+            throw RequestError(
+                "toolarge",
+                "circuit (" + std::to_string(input.numQubits()) +
+                    " qubits, " + std::to_string(input.size()) +
+                    " gates) exceeds server caps" +
+                    (opts_.maxQubits > 0
+                         ? " maxQubits=" + std::to_string(opts_.maxQubits)
+                         : "") +
+                    (opts_.maxGates > 0
+                         ? " maxGates=" + std::to_string(opts_.maxGates)
+                         : ""));
+        }
+        return resolveTopology(spec, input.numQubits());
+    };
+    const PreparedTranspile prepared = prepareTranspile(req, admitAndResolve);
+    const circuit::Circuit &input = prepared.input;
+    const auto &topo = prepared.topology;
     const uint64_t fp = circuitFingerprint(input);
     const std::string key =
         resultCacheKey(fp, topo->name(), req.options, req.format);
@@ -414,10 +376,7 @@ Engine::handleTranspile(const json::Value &doc, const json::Value &id)
             c.set("misses", counters_.cacheMisses);
         }
         v.set("cache", std::move(c));
-        if (entry->format == "qasm")
-            v.set("qasm", entry->qasm);
-        else
-            v.set("report", entry->report);
+        v.set(entry->isString() ? "qasm" : "report", *entry);
         return v;
     };
 
@@ -497,17 +456,8 @@ Engine::handleTranspile(const json::Value &doc, const json::Value &id)
         throw;
     }
 
-    auto entry = std::make_shared<CachedEntry>();
-    entry->format = req.format;
-    if (req.format == "qasm") {
-        const circuit::Circuit &emitted =
-            result.loweredToBasis ? result.lowered : result.routed;
-        entry->qasm = circuit::toQasm(emitted);
-    } else {
-        entry->report = transpileReportJson(req.name, input, *topo,
-                                            req.options, result);
-    }
-    EntryPtr shared = entry;
+    EntryPtr shared = std::make_shared<const json::Value>(
+        renderTranspile(req, prepared, result));
     {
         std::lock_guard<std::mutex> lock(cacheMutex_);
         cache_.put(key, shared);
@@ -573,24 +523,12 @@ Engine::statsResponse(const json::Value &id) const
         v.set("cache", std::move(cache));
     }
     {
-        using Status = decomp::EquivalenceLibrary::CacheLoadStatus;
         json::Value cat = json::Value::object();
-        cat.set("path", catalogPath_);
-        const char *status = "none";
-        if (!catalogPath_.empty()) {
-            switch (catalogLoad_.status) {
-            case Status::Ok:
-                status = "ok";
-                break;
-            case Status::Unreadable:
-                status = "unreadable";
-                break;
-            case Status::Malformed:
-                status = "malformed";
-                break;
-            }
-        }
-        cat.set("status", status);
+        cat.set("path", catalog_.path);
+        cat.set("status",
+                catalog_.path.empty()
+                    ? "none"
+                    : decomp::cacheLoadStatusName(catalog_.result.status));
         v.set("catalog", std::move(cat));
     }
     v.set("poolThreads", pool_.numThreads());

@@ -36,7 +36,7 @@
 
 #include "common/exec.hh"
 #include "common/lru_cache.hh"
-#include "decomp/equivalence.hh"
+#include "decomp/catalog.hh"
 #include "serve/protocol.hh"
 
 namespace mirage::serve {
@@ -68,10 +68,11 @@ struct EngineOptions
     std::string cacheDir;
     /**
      * Committed fit catalog warm-starting the root-2 library at
-     * construction: "" auto-discovers ($MIRAGE_FIT_CATALOG, then
-     * ./FIT_CATALOG.bin), "none" disables, else an explicit path.
+     * construction (decomp::loadLibrary): "" auto-discovers
+     * ($MIRAGE_FIT_CATALOG, then ./FIT_CATALOG.bin), "none" disables,
+     * else an explicit path.
      * The load outcome (including the unreadable-vs-malformed split)
-     * is reported via Engine::catalogLoad() so the transport can log
+     * is reported via Engine::catalog() so the transport can log
      * which failure happened at startup.
      */
     std::string catalogPath;
@@ -160,24 +161,20 @@ class Engine
 
     int poolThreads() const { return pool_.numThreads(); }
 
-    /** Resolved catalog path ("" when disabled or not found). */
-    const std::string &catalogPath() const { return catalogPath_; }
-    /** Outcome of the startup catalog load (Ok when no catalog). */
-    const decomp::EquivalenceLibrary::CacheLoadResult &
-    catalogLoad() const
+    /** The startup catalog load: resolved path and outcome. */
+    const decomp::CatalogLoad &catalog() const { return catalog_; }
+
+    /** Number of distinct topologies built and cached so far. */
+    size_t
+    topologiesCached() const
     {
-        return catalogLoad_;
+        std::lock_guard<std::mutex> lock(topoMutex_);
+        return topologies_.size();
     }
 
   private:
-    /** One memoized result: the report (json) or circuit (qasm). */
-    struct CachedEntry
-    {
-        std::string format; ///< "json" or "qasm"
-        json::Value report; ///< format == "json"
-        std::string qasm;   ///< format == "qasm"
-    };
-    using EntryPtr = std::shared_ptr<const CachedEntry>;
+    /** One memoized renderTranspile() output. */
+    using EntryPtr = std::shared_ptr<const json::Value>;
 
     /**
      * Value-typed failure relayed across threads. The promises below
@@ -237,7 +234,7 @@ class Engine
                                 const json::Value &id);
     json::Value statsResponse(const json::Value &id) const;
 
-    /** Resolve+cache a topology spec (throws RequestError on bad spec). */
+    /** Resolve+cache a topology spec (a TopologyResolver). */
     std::shared_ptr<const topology::CouplingMap>
     resolveTopology(const std::string &spec, int min_qubits);
 
@@ -255,8 +252,7 @@ class Engine
 
     mutable std::mutex libMutex_;
     std::map<int, std::unique_ptr<decomp::EquivalenceLibrary>> libraries_;
-    std::string catalogPath_; ///< resolved at construction
-    decomp::EquivalenceLibrary::CacheLoadResult catalogLoad_;
+    decomp::CatalogLoad catalog_; ///< the startup catalog load
 
     mutable std::mutex topoMutex_;
     std::unordered_map<std::string,

@@ -445,9 +445,7 @@ runChaos(const ChaosOptions &o, std::ostream &log)
         eopts.cacheDir = workDir; // shutdown save crosses cache.save
         eopts.maxQueue = o.maxQueue;
         engine = std::make_unique<Engine>(eopts);
-        catalogDegraded =
-            engine->catalogLoad().status !=
-            decomp::EquivalenceLibrary::CacheLoadStatus::Ok;
+        catalogDegraded = !engine->catalog().loaded();
         socketPath = workDir + "/chaos.sock";
         server = std::make_unique<SocketServer>(*engine, socketPath);
         server->start();

@@ -545,6 +545,17 @@ CouplingMap::specForms()
            "heavyhex1121, alltoall<N>, or auto";
 }
 
+std::string
+CouplingMap::concreteSpec(const std::string &spec, int min_qubits)
+{
+    if (spec != "auto")
+        return spec;
+    int side = 1;
+    while (side * side < min_qubits)
+        ++side;
+    return "grid" + std::to_string(side) + "x" + std::to_string(side);
+}
+
 CouplingMap
 CouplingMap::parseSpec(const std::string &spec, int min_qubits)
 {
@@ -557,12 +568,8 @@ CouplingMap::parseSpec(const std::string &spec, int min_qubits)
         return *value > 0;
     };
 
-    if (spec == "auto") {
-        int side = 1;
-        while (side * side < min_qubits)
-            ++side;
-        return grid(side, side);
-    }
+    if (spec == "auto")
+        return parseSpec(concreteSpec(spec, min_qubits), min_qubits);
     if (spec == "heavyhex57")
         return heavyHex57();
     if (spec == "heavyhex433")

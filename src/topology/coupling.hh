@@ -220,6 +220,12 @@ class CouplingMap
      * else; callers map that to their own usage-error type.
      */
     static CouplingMap parseSpec(const std::string &spec, int min_qubits);
+    /**
+     * `spec` with "auto" replaced by the grid spec it stands for,
+     * "grid<s>x<s>" with the smallest s such that s*s >= min_qubits;
+     * any other spec is returned unchanged.
+     */
+    static std::string concreteSpec(const std::string &spec, int min_qubits);
     /** The accepted parseSpec() forms, for help text and errors. */
     static const char *specForms();
 

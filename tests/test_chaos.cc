@@ -264,6 +264,15 @@ TEST_F(ChaosTest, SizeCapsRejectWithToolarge)
     EXPECT_EQ(doc["error"]["code"].asString(), "toolarge");
     EXPECT_EQ(engine.counters().tooLarge, 1u);
 
+    // The caps run before the topology is resolved: under "auto" a wide
+    // qreg would otherwise build (and cache) a grid for it first.
+    json::Value wide = handleParsed(
+        engine, requestLine(2, "OPENQASM 2.0;\nqreg q[400];\ncx q[0],q[1];\n",
+                            "{\"topology\":\"auto\"}"));
+    ASSERT_FALSE(wide["ok"].asBool());
+    EXPECT_EQ(wide["error"]["code"].asString(), "toolarge");
+    EXPECT_EQ(engine.topologiesCached(), 0u);
+
     serve::EngineOptions gopts;
     gopts.maxGates = 2;
     serve::Engine gateCapped(gopts);
@@ -317,7 +326,7 @@ TEST_F(ChaosTest, ServeStartupDegradesOnCorruptCatalog)
     serve::EngineOptions eopts;
     eopts.catalogPath = writeCorruptCatalog("corrupt-serve.bin");
     serve::Engine engine(eopts);
-    EXPECT_EQ(engine.catalogLoad().status, Status::Malformed)
+    EXPECT_EQ(engine.catalog().result.status, Status::Malformed)
         << "startup must record WHY the catalog was rejected";
     // ... and keep serving.
     json::Value doc = handleParsed(

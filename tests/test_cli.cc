@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -21,6 +23,8 @@
 #include "cli/cli.hh"
 #include "cli/experiments.hh"
 #include "common/json.hh"
+#include "serve/protocol.hh"
+#include "serve/server.hh"
 
 using namespace mirage;
 
@@ -280,31 +284,92 @@ TEST(CliTranspile, NumericFlagsOutOfRangeAreUsageErrors)
 {
     // Every rejection must be exit code 2 (usage) with a message that
     // names the offending flag -- never a crash, a hang, or a silent
-    // fallback to a default.
+    // fallback to a default. Both front doors read one option schema,
+    // so the same value sent to `mirage serve` as the flag's request
+    // option must be a "request" error naming that option.
     const struct
     {
-        std::vector<std::string> extra;
-        const char *needle;
+        const char *flag;
+        const char *value;
     } cases[] = {
-        {{"--trials", "0"}, "--trials"},
-        {{"--trials", "-3"}, "--trials"},
-        {{"--swap-trials", "0"}, "--swap-trials"},
-        {{"--fwd-bwd", "-1"}, "--fwd-bwd"},
-        {{"--threads", "-1"}, "--threads"},
-        {{"--root", "1"}, "--root"},
-        {{"--aggression", "4"}, "--aggression"},
-        {{"--aggression", "-2"}, "--aggression"},
-        {{"--trials", "4294967297"}, "--trials"},
-        {{"--seed", "-1"}, "--seed"},
+        {"--trials", "0"},
+        {"--trials", "-3"},
+        {"--swap-trials", "0"},
+        {"--fwd-bwd", "-1"},
+        {"--threads", "-1"},
+        {"--root", "1"},
+        {"--aggression", "4"},
+        {"--aggression", "-2"},
+        {"--trials", "4294967297"},
+        {"--swap-trials", "4294967297"},
+        {"--fwd-bwd", "4294967297"},
+        {"--root", "4294967298"},
+        {"--aggression", "4294967297"},
+        {"--deadline-ms", "-1"},
+        {"--deadline-ms", "4294967297"},
+        {"--seed", "-1"},
+        {"--seed", "18446744073709551616"},
     };
+    serve::Engine engine;
+    const std::string qasm = readFile(qft4Path());
     for (const auto &c : cases) {
-        std::vector<std::string> args = {"transpile", qft4Path()};
-        args.insert(args.end(), c.extra.begin(), c.extra.end());
-        auto r = runCli(args);
-        EXPECT_EQ(r.code, cli::kExitUsage)
-            << c.extra[0] << " " << c.extra[1];
-        EXPECT_NE(r.err.find(c.needle), std::string::npos) << r.err;
+        auto r = runCli({"transpile", qft4Path(), c.flag, c.value});
+        EXPECT_EQ(r.code, cli::kExitUsage) << c.flag << " " << c.value;
+        EXPECT_NE(r.err.find(c.flag), std::string::npos) << r.err;
+
+        const auto &schema = serve::requestOptions();
+        auto o = std::find_if(schema.begin(), schema.end(),
+                              [&c](const serve::RequestOption &s) {
+                                  return std::string(s.flag) == c.flag;
+                              });
+        if (o == schema.end()) {
+            // --threads sizes the CLI's own trial grid; a server's pool
+            // is engine-wide, so it is no request option.
+            EXPECT_STREQ(c.flag, "--threads");
+            continue;
+        }
+        json::Value request = json::Value::object();
+        request.set("qasm", qasm);
+        json::Value options = json::Value::object();
+        options.set(o->key, json::parse(c.value));
+        request.set("options", std::move(options));
+        json::Value resp = json::parse(engine.handle(request.dump(0)));
+        EXPECT_EQ(resp["error"]["code"].asString(), "request")
+            << c.flag << " " << c.value << ": " << resp.dump(0);
+        EXPECT_NE(resp["error"]["message"].asString().find(
+                      std::string("option '") + o->key + "'"),
+                  std::string::npos)
+            << resp.dump(0);
     }
+}
+
+TEST(CliTranspile, CatalogAppliesToRootTwoOnly)
+{
+    // The committed catalog holds sqrt(iSWAP) fits. A --root 3 lowering
+    // must not try it (no "basis mismatch" warning) and fits cold,
+    // whether the catalog is named or auto-discovered.
+    const std::string catalog = MIRAGE_TEST_DATA_DIR "/../FIT_CATALOG.bin";
+    const std::string path = tempPath("root3.qasm");
+    writeFile(path, "OPENQASM 2.0;\nqreg q[2];\ncx q[0],q[1];\n");
+    const std::vector<std::string> args = {"transpile", path, "--root", "3",
+                                           "--lower"};
+
+    std::vector<std::string> named = args;
+    named.insert(named.end(), {"--catalog", catalog});
+    auto explicitRun = runCli(named);
+    EXPECT_EQ(explicitRun.code, cli::kExitSuccess) << explicitRun.err;
+    EXPECT_EQ(explicitRun.err, "");
+
+    ::setenv("MIRAGE_FIT_CATALOG", catalog.c_str(), 1);
+    auto discovered = runCli(args);
+    ::unsetenv("MIRAGE_FIT_CATALOG");
+    EXPECT_EQ(discovered.code, cli::kExitSuccess) << discovered.err;
+    EXPECT_EQ(discovered.err, "");
+    EXPECT_EQ(discovered.out, explicitRun.out);
+
+    auto cold = runCli({"transpile", path, "--root", "3", "--lower",
+                        "--catalog", "none"});
+    EXPECT_EQ(cold.out, explicitRun.out);
 }
 
 TEST(CliTranspile, UncreatableCacheDirIsUsageError)

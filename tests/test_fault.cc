@@ -196,6 +196,12 @@ TEST(DeadlineTest, GenerousBudgetDoesNotTrip)
     EXPECT_FALSE(d.expired());
     EXPECT_NO_THROW(d.check("pipeline.start"));
     EXPECT_GT(d.remainingMs(), 1000.0);
+
+    // A budget past the clock's range saturates instead of overflowing
+    // into the past.
+    Deadline far = Deadline::afterMs(1e300);
+    EXPECT_FALSE(far.expired());
+    EXPECT_NO_THROW(far.check("pipeline.start"));
 }
 
 TEST(DeadlineTest, CancelReachesEveryCopy)

@@ -98,6 +98,41 @@ TEST(ServeProtocol, ParseRequestRejectsUnknownFieldsAndBadRanges)
         parse("{\"qasm\":\"x\",\"options\":{\"flow\":\"sobre\"}}"),
         serve::RequestError);
 
+    // Each integer option probed past its range: the check runs on the
+    // value as sent, before any narrowing cast, so 4294967297 is not
+    // trials 1 and 1e300 is not undefined behaviour.
+    auto expectRangeError = [&parse](const std::string &key,
+                                     const std::string &value) {
+        try {
+            parse("{\"qasm\":\"x\",\"options\":{\"" + key + "\":" + value +
+                  "}}");
+            ADD_FAILURE() << key << "=" << value << " accepted";
+        } catch (const serve::RequestError &e) {
+            EXPECT_EQ(e.code(), "request");
+            EXPECT_NE(std::string(e.what()).find("option '" + key + "'"),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    using Kind = serve::RequestOption::Kind;
+    int probed = 0;
+    for (const serve::RequestOption &o : serve::requestOptions()) {
+        if (o.kind == Kind::Int) {
+            expectRangeError(o.key, std::to_string(o.max + 1));
+            expectRangeError(o.key, "4294967297");
+        } else if (o.kind == Kind::Seed) {
+            expectRangeError(o.key, "18446744073709551616");
+            expectRangeError(o.key, "-1");
+        } else {
+            continue;
+        }
+        expectRangeError(o.key, "1e300");
+        expectRangeError(o.key, "-1e300");
+        ++probed;
+    }
+    // trials, swapTrials, fwdBwd, seed, aggression, root, deadlineMs.
+    EXPECT_EQ(probed, 7);
+
     serve::TranspileRequest req = parse(
         "{\"id\":7,\"qasm\":\"x\",\"options\":{\"trials\":3,"
         "\"topology\":\"line4\",\"format\":\"qasm\",\"seed\":11}}");
@@ -106,6 +141,25 @@ TEST(ServeProtocol, ParseRequestRejectsUnknownFieldsAndBadRanges)
     EXPECT_EQ(req.topology, "line4");
     EXPECT_EQ(req.format, "qasm");
     EXPECT_EQ(req.options.seed, 11u);
+}
+
+TEST(ServeProtocol, DeadlineBeyondItsRangeIsRejectedNotExpired)
+{
+    // deadlineMs shares --deadline-ms's range, [0, 2^31-1] ms: a larger
+    // budget is a "request" error, never an instant "deadline" failure
+    // from an overflowed clock. 0 means no deadline.
+    serve::Engine engine;
+    json::Value huge = handleParsed(
+        engine, requestLine(1, kQasm, "{\"deadlineMs\":1e300}"));
+    EXPECT_EQ(huge["error"]["code"].asString(), "request") << huge.dump(0);
+    for (const char *ok : {"2147483647", "0"}) {
+        json::Value resp = handleParsed(
+            engine, requestLine(2, kQasm,
+                                std::string("{\"trials\":1,\"swapTrials\":1,"
+                                            "\"deadlineMs\":") +
+                                    ok + "}"));
+        EXPECT_TRUE(resp["ok"].asBool()) << ok << ": " << resp.dump(0);
+    }
 }
 
 TEST(ServeProtocol, FingerprintSeparatesCircuitsAndParams)
@@ -318,6 +372,34 @@ TEST(ServeEngine, ConcurrentClientsAreBitIdenticalToOneShotTranspile)
     EXPECT_EQ(c.cacheMisses, 1u);
     EXPECT_EQ(c.cacheHits + c.coalesced + c.cacheMisses,
               uint64_t(kClients));
+}
+
+TEST(ServeEngine, RequestWithoutOptionsMatchesTranspileWithoutFlags)
+{
+    // The option defaults live in one schema, so a bare request and a
+    // bare `mirage transpile` run the same options (8 layout trials,
+    // not TranspileOptions' own 4) and report the same bytes.
+    const std::string qasmPath = testing::TempDir() + "serve_defaults.qasm";
+    {
+        std::ofstream f(qasmPath);
+        ASSERT_TRUE(f.is_open());
+        f << kQasm;
+    }
+    std::ostringstream cliOut, cliErr;
+    ASSERT_EQ(cli::run({"transpile", qasmPath}, cliOut, cliErr), 0)
+        << cliErr.str();
+
+    serve::Engine engine;
+    json::Value doc = json::Value::object();
+    doc.set("qasm", kQasm);
+    json::Value resp = handleParsed(engine, doc.dump(0));
+    ASSERT_TRUE(resp["ok"].asBool()) << resp.dump(0);
+    json::Value report = resp["report"];
+    json::Value in = report["input"];
+    in.set("file", qasmPath);
+    report.set("input", std::move(in));
+    EXPECT_EQ(report.dump(2), cliOut.str());
+    EXPECT_EQ(report["options"]["layoutTrials"].asInt(), 8);
 }
 
 TEST(ServeEngine, MixedConcurrentRequestsEachComputeOnce)
