@@ -41,6 +41,9 @@ constexpr double kAcceptInfidelity = 1e-9;
 constexpr double kRetryInfidelity = 1e-7;
 /** Independent restart rounds at the cost-model depth k. */
 constexpr int kMaxFitRounds = 3;
+/** Restart rounds at k, in all, while the best k-fit misses
+ * kRetryInfidelity (the polytope promises that depth). */
+constexpr int kMaxMissRounds = 16;
 /** Independent restart rounds at k+1 for optimizer misses. */
 constexpr int kMaxRetryRounds = 3;
 
@@ -152,7 +155,9 @@ EquivalenceLibrary::fitFor(const Mat4 &u, const QuantizedMat &qm,
     Decomposition best;
     best.fidelity = -1;
     uint64_t total = 0;
-    for (int round = 0; round < kMaxFitRounds; ++round) {
+    for (int round = 0; round < kMaxMissRounds; ++round) {
+        if (round >= kMaxFitRounds && 1.0 - best.fidelity <= kRetryInfidelity)
+            break;
         deadline.check("fit.round");
         Rng rng(deriveSeed(fit_seed, uint64_t(round)));
         Decomposition d = decomposeViaCanonical(u, basisMatrix_, k, rng, opts);
@@ -165,8 +170,8 @@ EquivalenceLibrary::fitFor(const Mat4 &u, const QuantizedMat &qm,
         }
     }
     // Optimizer-miss guard: allow one extra pulse when the polytope
-    // depth could not be reached numerically. Only hard blocks pay for
-    // these extra rounds.
+    // depth could not be reached numerically even after the extra k
+    // rounds above. Only hard blocks pay for these rounds.
     for (int round = 0; round < kMaxRetryRounds; ++round) {
         if (1.0 - best.fidelity <= kRetryInfidelity)
             break;

@@ -166,27 +166,6 @@ decomposeViaCanonical(const Mat4 &target, const Mat4 &basis, int k, Rng &rng,
     return d;
 }
 
-Decomposition
-decomposeMinimal(const Mat4 &target, const Mat4 &basis, int max_k,
-                 double min_fidelity, Rng &rng, const FitOptions &opts)
-{
-    Decomposition best;
-    best.fidelity = -1;
-    uint64_t total = 0;
-    for (int k = 0; k <= max_k; ++k) {
-        Decomposition d = decomposeWithK(target, basis, k, rng, opts);
-        total += d.evaluations;
-        if (d.fidelity > best.fidelity)
-            best = d;
-        if (d.fidelity >= min_fidelity) {
-            d.evaluations = total;
-            return d;
-        }
-    }
-    best.evaluations = total;
-    return best;
-}
-
 void
 appendDecomposition(circuit::Circuit &circ, const Decomposition &d,
                     int root_degree, int qa, int qb)

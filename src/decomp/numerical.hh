@@ -49,14 +49,6 @@ Decomposition decomposeViaCanonical(const Mat4 &target, const Mat4 &basis,
                                     const FitOptions &opts = {});
 
 /**
- * Smallest k in [0, max_k] whose fit reaches `min_fidelity`; the fit for
- * that k is returned (or the best found at max_k when none reaches it).
- */
-Decomposition decomposeMinimal(const Mat4 &target, const Mat4 &basis,
-                               int max_k, double min_fidelity, Rng &rng,
-                               const FitOptions &opts = {});
-
-/**
  * Append the fitted sequence to a circuit as Unitary1Q layers interleaved
  * with RootISWAP(root_degree) gates on wires (qa, qb).
  */

@@ -85,6 +85,9 @@ flowName(mirage_pass::Flow flow)
 namespace {
 
 constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+/** Largest basis root a request may ask for: the roots of Figs. 3-5.
+ * The coverage build grows with the root and checks no deadline. */
+constexpr int64_t kMaxRootDegree = 4;
 
 [[noreturn]] void
 rangeError(const RequestOption &o, const std::string &who)
@@ -145,10 +148,11 @@ requestOptions()
     using Kind = RequestOption::Kind;
     using R = TranspileRequest;
     using V = OptionValue;
+    static const std::string topologyHelp =
+        "device coupling map: " + topology::CouplingMap::specForms();
     static const std::vector<RequestOption> schema = {
         {"topology", "--topology", Kind::Text, "auto", 0, 0, "SPEC",
-         "device coupling map: grid<R>x<C>, line<N>, ring<N>, heavyhex57, "
-         "heavyhex433, heavyhex1121, alltoall<N>, auto",
+         topologyHelp.c_str(),
          [](R &r, const V &v) { r.topology = std::get<std::string>(v); }},
         {"flow", "--flow", Kind::Text, "mirage", 0, 0, "NAME",
          "pipeline flow: sabre, mirage-swaps, mirage",
@@ -172,8 +176,8 @@ requestOptions()
         {"aggression", "--aggression", Kind::Int, "-1", -1, 3, "N",
          "fixed mirror aggression 0-3 (-1 = 5/45/45/5 mix)",
          [](R &r, const V &v) { r.options.fixedAggression = integer(v); }},
-        {"root", "--root", Kind::Int, "2", 2, kIntMax, "N",
-         "basis gate: the N-th root of iSWAP",
+        {"root", "--root", Kind::Int, "2", 2, kMaxRootDegree, "N",
+         "basis gate: the N-th root of iSWAP (2-4)",
          [](R &r, const V &v) { r.options.rootDegree = integer(v); }},
         {"vf2", "--no-vf2", Kind::Bool, "true", 0, 0, "",
          "skip the VF2 SWAP-free layout check",

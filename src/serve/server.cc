@@ -109,9 +109,8 @@ Engine::resolveTopology(const std::string &spec, int min_qubits)
         topology::CouplingMap::concreteSpec(spec, min_qubits);
     {
         std::lock_guard<std::mutex> lock(topoMutex_);
-        auto it = topologies_.find(key);
-        if (it != topologies_.end())
-            return it->second;
+        if (auto hit = topologies_.get(key))
+            return *hit;
     }
     // Build outside the lock (heavyhex1121 construction does real BFS
     // work); a racing duplicate build is harmless -- last writer wins
@@ -119,7 +118,7 @@ Engine::resolveTopology(const std::string &spec, int min_qubits)
     auto built = std::make_shared<const topology::CouplingMap>(
         topology::CouplingMap::parseSpec(key, min_qubits));
     std::lock_guard<std::mutex> lock(topoMutex_);
-    topologies_[key] = built;
+    topologies_.put(key, built);
     return built;
 }
 

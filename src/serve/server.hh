@@ -164,7 +164,11 @@ class Engine
     /** The startup catalog load: resolved path and outcome. */
     const decomp::CatalogLoad &catalog() const { return catalog_; }
 
-    /** Number of distinct topologies built and cached so far. */
+    /** Distinct topologies kept built; clients cannot grow it further. */
+    static constexpr size_t kTopologyCacheEntries = 32;
+
+    /** Number of distinct topologies cached (at most
+     * kTopologyCacheEntries). */
     size_t
     topologiesCached() const
     {
@@ -255,9 +259,8 @@ class Engine
     decomp::CatalogLoad catalog_; ///< the startup catalog load
 
     mutable std::mutex topoMutex_;
-    std::unordered_map<std::string,
-                       std::shared_ptr<const topology::CouplingMap>>
-        topologies_;
+    LruCache<std::string, std::shared_ptr<const topology::CouplingMap>>
+        topologies_{kTopologyCacheEntries};
 
     mutable std::mutex cacheMutex_;
     LruCache<std::string, EntryPtr> cache_;

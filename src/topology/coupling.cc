@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <limits>
 #include <list>
 #include <unordered_map>
@@ -538,11 +539,12 @@ CouplingMap::heavyHex1121()
     return CouplingMap(n + 5, std::move(e), "heavyhex-1121");
 }
 
-const char *
+std::string
 CouplingMap::specForms()
 {
     return "grid<R>x<C>, line<N>, ring<N>, heavyhex57, heavyhex433, "
-           "heavyhex1121, alltoall<N>, or auto";
+           "heavyhex1121, alltoall<N>, or auto; at most " +
+           std::to_string(kMaxSpecQubits) + " qubits";
 }
 
 std::string
@@ -559,13 +561,26 @@ CouplingMap::concreteSpec(const std::string &spec, int min_qubits)
 CouplingMap
 CouplingMap::parseSpec(const std::string &spec, int min_qubits)
 {
-    auto intSuffix = [&spec](size_t prefix_len, int *value) {
-        const std::string tail = spec.substr(prefix_len);
-        if (tail.empty() ||
-            tail.find_first_not_of("0123456789") != std::string::npos)
+    // A size is a positive decimal count. Any size above the ceiling,
+    // however many digits it has, reads as ceiling + 1, so none wraps.
+    auto size = [](const std::string &digits, int64_t *value) {
+        if (digits.empty() ||
+            digits.find_first_not_of("0123456789") != std::string::npos)
             return false;
-        *value = std::atoi(tail.c_str());
-        return *value > 0;
+        uint64_t v = 0;
+        const char *end = digits.data() + digits.size();
+        if (std::from_chars(digits.data(), end, v).ec != std::errc())
+            v = kMaxSpecQubits + 1; // more than 64 bits of digits
+        *value = int64_t(std::min<uint64_t>(v, kMaxSpecQubits + 1));
+        return v > 0;
+    };
+    auto bounded = [&spec](int64_t qubits) {
+        if (qubits > kMaxSpecQubits)
+            throw std::invalid_argument("topology '" + spec +
+                                        "' has more than " +
+                                        std::to_string(kMaxSpecQubits) +
+                                        " qubits");
+        return int(qubits);
     };
 
     if (spec == "auto")
@@ -576,28 +591,21 @@ CouplingMap::parseSpec(const std::string &spec, int min_qubits)
         return heavyHex433();
     if (spec == "heavyhex1121")
         return heavyHex1121();
+    int64_t r = 0, c = 0, n = 0;
     if (spec.rfind("grid", 0) == 0) {
         size_t x = spec.find('x', 4);
-        if (x != std::string::npos) {
-            const std::string rows = spec.substr(4, x - 4);
-            const std::string cols = spec.substr(x + 1);
-            if (!rows.empty() && !cols.empty() &&
-                rows.find_first_not_of("0123456789") == std::string::npos &&
-                cols.find_first_not_of("0123456789") == std::string::npos) {
-                int r = std::atoi(rows.c_str());
-                int c = std::atoi(cols.c_str());
-                if (r > 0 && c > 0)
-                    return grid(r, c);
-            }
+        if (x != std::string::npos && size(spec.substr(4, x - 4), &r) &&
+            size(spec.substr(x + 1), &c)) {
+            bounded(r * c);
+            return grid(int(r), int(c));
         }
     }
-    int n = 0;
-    if (spec.rfind("line", 0) == 0 && intSuffix(4, &n))
-        return line(n);
-    if (spec.rfind("ring", 0) == 0 && intSuffix(4, &n))
-        return ring(n);
-    if (spec.rfind("alltoall", 0) == 0 && intSuffix(8, &n))
-        return allToAll(n);
+    if (spec.rfind("line", 0) == 0 && size(spec.substr(4), &n))
+        return line(bounded(n));
+    if (spec.rfind("ring", 0) == 0 && size(spec.substr(4), &n))
+        return ring(bounded(n));
+    if (spec.rfind("alltoall", 0) == 0 && size(spec.substr(8), &n))
+        return allToAll(bounded(n));
     throw std::invalid_argument("unknown topology '" + spec +
                                 "' (expected " + specForms() + ")");
 }

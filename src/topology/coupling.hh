@@ -211,13 +211,17 @@ class CouplingMap
     /** 1121-qubit heavy-hex (IBM Condor scale); sparse storage. */
     static CouplingMap heavyHex1121();
 
+    /** Largest device a spec may name: heavyhex1121's qubit count. */
+    static constexpr int kMaxSpecQubits = 1121;
+
     /**
      * Parse a device spec string shared by the CLI and the serve
      * request schema: grid<R>x<C>, line<N>, ring<N>, heavyhex57,
      * heavyhex433, heavyhex1121, alltoall<N>, or "auto" (the smallest
      * square grid with at least `min_qubits` sites). Throws
      * std::invalid_argument (listing the accepted forms) on anything
-     * else; callers map that to their own usage-error type.
+     * else, and on a device above kMaxSpecQubits; callers map that to
+     * their own usage-error type.
      */
     static CouplingMap parseSpec(const std::string &spec, int min_qubits);
     /**
@@ -227,7 +231,7 @@ class CouplingMap
      */
     static std::string concreteSpec(const std::string &spec, int min_qubits);
     /** The accepted parseSpec() forms, for help text and errors. */
-    static const char *specForms();
+    static std::string specForms();
 
   private:
     void buildDerived(bool force_sparse);

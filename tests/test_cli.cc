@@ -17,6 +17,8 @@
 #include <set>
 #include <sstream>
 
+#include <unistd.h>
+
 #include "bench_circuits/generators.hh"
 #include "circuit/qasm.hh"
 #include "cli/args.hh"
@@ -236,10 +238,17 @@ namespace {
 std::string
 qft4Path()
 {
+    // ctest runs each case as its own process, all sharing this file:
+    // write a private copy and rename it into place, so no reader ever
+    // sees it truncated.
     static const std::string path = [] {
         std::string p = tempPath("qft4.qasm");
-        std::ofstream f(p);
-        f << circuit::toQasm(bench::qft(4, true));
+        const std::string mine = p + "." + std::to_string(::getpid());
+        {
+            std::ofstream f(mine);
+            f << circuit::toQasm(bench::qft(4, true));
+        }
+        std::filesystem::rename(mine, p);
         return p;
     }();
     return path;
@@ -273,6 +282,30 @@ TEST(CliTranspile, UnknownTopologyIsUsageError)
     EXPECT_NE(r.err.find("unknown topology"), std::string::npos);
 }
 
+TEST(CliTranspile, OversizedTopologySpecsAreRejectedOnBothFrontDoors)
+{
+    // A size that wraps or exceeds the qubit ceiling must be refused,
+    // never routed on a different device.
+    serve::Engine engine;
+    const std::string qasm = readFile(qft4Path());
+    for (const char *spec :
+         {"line4294967304", "grid4294967299x3", "alltoall100000"}) {
+        auto r = runCli({"transpile", qft4Path(), "--topology", spec});
+        EXPECT_EQ(r.code, cli::kExitUsage) << spec << ": " << r.out;
+        EXPECT_NE(r.err.find(spec), std::string::npos) << r.err;
+
+        json::Value request = json::Value::object();
+        request.set("qasm", qasm);
+        json::Value options = json::Value::object();
+        options.set("topology", spec);
+        request.set("options", std::move(options));
+        json::Value resp = json::parse(engine.handle(request.dump(0)));
+        EXPECT_EQ(resp["error"]["code"].asString(), "request")
+            << spec << ": " << resp.dump(0);
+    }
+    EXPECT_EQ(engine.topologiesCached(), 0u);
+}
+
 TEST(CliTranspile, TopologyTooSmallFails)
 {
     auto r = runCli({"transpile", qft4Path(), "--topology", "line2"});
@@ -298,6 +331,7 @@ TEST(CliTranspile, NumericFlagsOutOfRangeAreUsageErrors)
         {"--fwd-bwd", "-1"},
         {"--threads", "-1"},
         {"--root", "1"},
+        {"--root", "5"},
         {"--aggression", "4"},
         {"--aggression", "-2"},
         {"--trials", "4294967297"},

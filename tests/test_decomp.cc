@@ -90,16 +90,6 @@ TEST(Fit, SwapNeedsThreeSqrtIswap)
     EXPECT_GT(three.fidelity, 1.0 - 1e-7);
 }
 
-TEST(Fit, MinimalDepthSearch)
-{
-    Rng rng(6);
-    Decomposition d = decomposeMinimal(weyl::gateCX(),
-                                       weyl::gateRootISWAP(2), 4,
-                                       1.0 - 1e-8, rng);
-    EXPECT_EQ(d.k, 2);
-    EXPECT_GT(d.fidelity, 1.0 - 1e-8);
-}
-
 TEST(Fit, RandomTargetsMatchCoverageDepth)
 {
     // The numerical fit at the polytope-predicted k must succeed.
@@ -183,6 +173,24 @@ TEST(Equivalence, TranslationPulseBudgetMatchesCostModel)
     TranslateStats stats;
     (void)lib.translate(c, &stats);
     EXPECT_NEAR(stats.totalPulses, 9.0, 1e-12);
+}
+
+TEST(Equivalence, FitDepthDoesNotDependOnEarlierLookups)
+{
+    // Two near-identity blocks under 5e-8 apart, on either side of the
+    // coverage polytopes' identity tolerance. Looking up the first must
+    // not change the depth or the fit of the second.
+    const Mat4 first = weyl::canonicalGate(5e-10, 0, 0);
+    const Mat4 second = weyl::canonicalGate(4.7e-8, 0, 0);
+    EquivalenceLibrary primed(2, /*preseed=*/false);
+    EXPECT_EQ(primed.lookup(first).k, 0);
+    const Decomposition &after = primed.lookup(second);
+    EquivalenceLibrary fresh(2, /*preseed=*/false);
+    const Decomposition &alone = fresh.lookup(second);
+    EXPECT_EQ(after.k, alone.k);
+    EXPECT_GT(alone.k, 0);
+    EXPECT_EQ(after.params, alone.params);
+    EXPECT_EQ(after.fidelity, alone.fidelity);
 }
 
 TEST(Equivalence, KeyCollisionFallsBackToFreshFit)

@@ -9,8 +9,8 @@
  * for families instantiated on <= 6 physical qubits, by randomized
  * state overlap for the fixed-size larger families. Every lowered
  * circuit must contain only RootISWAP + one-qubit gates, report
- * worstInfidelity below 1e-6, and have measured pulse metrics
- * consistent with the polytope estimates.
+ * worstInfidelity below 1e-6, and have measured pulse metrics equal
+ * to the polytope estimates.
  *
  * Also holds the golden-snapshot regression: three small benchmark
  * circuits lowered without routing are compared gate-for-gate against
@@ -58,6 +58,23 @@ expectBasisOnly(const Circuit &lowered, int root_degree)
 }
 
 /**
+ * Measured pulse metrics agree with the translation stats, and every
+ * block is fitted at the polytope-minimal pulse count, so the estimate
+ * equals the measurement.
+ */
+void
+expectEstimateMeasured(const mirage_pass::TranspileResult &res)
+{
+    EXPECT_NEAR(res.loweredMetrics.totalPulses,
+                res.translateStats.totalPulses, 1e-9);
+    EXPECT_NEAR(res.loweredMetrics.totalPulses, res.metrics.totalPulses,
+                1e-9);
+    EXPECT_NEAR(res.loweredMetrics.depthPulses, res.metrics.depthPulses,
+                1e-9);
+    EXPECT_EQ(res.loweredMetrics.swapGates, 0);
+}
+
+/**
  * Full-pipeline lowering check for one circuit: transpile with
  * lowerToBasis, verify the gate set, the infidelity bar, the
  * estimated-vs-measured metric consistency, and simulator equivalence
@@ -82,16 +99,7 @@ checkLowering(const Circuit &circ, const CouplingMap &coupling,
     EXPECT_EQ(res.translateStats.blocksTranslated,
               res.translateStats.cacheHits + res.translateStats.newFits);
 
-    // Measured metrics must agree with the translation stats exactly,
-    // and the polytope estimate can never exceed the measurement (a
-    // fitted block uses at least the polytope-minimal pulse count).
-    EXPECT_NEAR(res.loweredMetrics.totalPulses,
-                res.translateStats.totalPulses, 1e-9);
-    EXPECT_GE(res.loweredMetrics.totalPulses + 1e-9,
-              res.metrics.totalPulses);
-    EXPECT_GE(res.loweredMetrics.depthPulses + 1e-9,
-              res.metrics.depthPulses);
-    EXPECT_EQ(res.loweredMetrics.swapGates, 0);
+    expectEstimateMeasured(res);
 
     double tol = testsupport::loweringTolerance(
         res.translateStats.rootInfidelitySum);
@@ -184,6 +192,25 @@ TEST(LoweringFamiliesLarge, Qram)
 {
     checkLowering(bench::qram(20), CouplingMap::grid(4, 5),
                   /*layout_trials=*/2);
+}
+
+TEST(LoweringEstimate, PortfolioQaoaOnHeavyHex57)
+{
+    // `mirage transpile portfolioqaoa_n16 --topology heavyhex57 --trials
+    // 4 --swap-trials 2 --fwd-bwd 2 --lower`, fitted cold: one block on
+    // the CPHASE line just short of CNOT has to reach its k=2 polytope
+    // depth, not fall back to k=3.
+    mirage_pass::TranspileOptions opts;
+    opts.layoutTrials = 4;
+    opts.swapTrials = 2;
+    opts.forwardBackwardPasses = 2;
+    opts.lowerToBasis = true;
+    auto res = mirage_pass::transpile(
+        bench::benchmarkByName("portfolioqaoa_n16").make(),
+        CouplingMap::heavyHex57(), opts);
+    ASSERT_TRUE(res.loweredToBasis);
+    EXPECT_NEAR(res.metrics.totalPulses, 1526, 1e-9);
+    expectEstimateMeasured(res);
 }
 
 // --- golden snapshots ------------------------------------------------------

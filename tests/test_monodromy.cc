@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "linalg/random_unitary.hh"
 #include "monodromy/cost_model.hh"
@@ -163,16 +165,37 @@ TEST(CostModel, PulseCosts)
     EXPECT_NEAR(cm.mirrorCostOf(weyl::coordSWAP()), 0.0, 1e-9);
 }
 
-TEST(CostModel, CacheWorks)
+TEST(CostModel, KIsMinKInAnyQueryOrder)
 {
-    CostModel cm = makeRootIswapCostModel(2);
-    weyl::Coord c = weyl::coordB();
-    (void)cm.kFor(c);
-    uint64_t misses = cm.cacheMisses();
-    for (int i = 0; i < 100; ++i)
-        (void)cm.kFor(c);
-    EXPECT_EQ(cm.cacheMisses(), misses);
-    EXPECT_GE(cm.cacheHits(), 100u);
+    // kFor must be a pure function of the coordinates: no query can fix
+    // the answer of a later, nearby one. The first two coordinates lie
+    // under 5e-8 apart, on either side of minK's identity tolerance.
+    const CoverageSet &cs = coverageForRootIswap(2);
+    const CostModel cm(cs);
+    std::vector<weyl::Coord> probes = {{5e-10, 0, 0}, {4.7e-8, 0, 0}};
+    std::vector<weyl::Coord> rest;
+    const weyl::Coord bases[] = {
+        weyl::coordIdentity(), weyl::coordCNOT(),   weyl::coordISWAP(),
+        weyl::coordSWAP(),     weyl::coordB(),      weyl::coordRootISWAP(2),
+        weyl::coordCP(kPi * 0.9984)};
+    for (const weyl::Coord &base : bases) {
+        for (double d : {0.0, 2e-10, -2e-10, 4e-8, -4e-8, 6e-8}) {
+            rest.push_back({base.a + d, base.b, base.c});
+            rest.push_back({base.a, base.b + d, base.c});
+            rest.push_back({base.a + d, base.b + d, base.c + d});
+        }
+    }
+    Rng rng(11);
+    std::shuffle(rest.begin(), rest.end(), rng.engine());
+    probes.insert(probes.end(), rest.begin(), rest.end());
+    EXPECT_EQ(cm.kFor(probes[0]), 0);
+    EXPECT_EQ(cm.kFor(probes[1]), 2);
+    for (const weyl::Coord &c : probes) {
+        EXPECT_EQ(cm.kFor(c), cs.minK(c)) << c.toString();
+        EXPECT_EQ(cm.mirrorCostOf(c),
+                  cs.minK(weyl::mirrorCoord(c)) * cm.basisDuration())
+            << c.toString();
+    }
 }
 
 TEST(CostModel, DecayFidelityAnchors)

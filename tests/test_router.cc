@@ -168,6 +168,40 @@ TEST(Mirage, AlwaysAggressionMirrorsEverything)
     EXPECT_GT(res.mirrorsAccepted, 0);
 }
 
+TEST(Mirage, CachesLeaveTheFig13QftRouteUnchanged)
+{
+    // The Fig. 13 ablation: QFT32 on 8x8, consolidated with and without
+    // the coordinate cache and routed from one random layout, must be
+    // bit-identical. So must routes through cost models that already
+    // priced a near-identity block on either side of the identity
+    // tolerance (QFT32's smallest phases fall on both sides).
+    const CouplingMap grid = CouplingMap::grid(8, 8);
+    const Circuit qft = bench::qft(32, true);
+    Rng rng(7);
+    const layout::Layout init = layout::Layout::random(grid.numQubits(), rng);
+    auto route = [&](bool coordinate_cache, const weyl::Coord *primer) {
+        monodromy::CostModel cost = monodromy::makeRootIswapCostModel(2);
+        if (primer)
+            (void)cost.kFor(*primer);
+        circuit::ConsolidateOptions copts;
+        copts.useCoordinateCache = coordinate_cache;
+        PassOptions popts;
+        popts.aggression = Aggression::Equal;
+        popts.costModel = &cost;
+        popts.seed = 42;
+        return routePass(circuit::consolidateBlocks(qft, copts), grid, init,
+                         popts)
+            .routed;
+    };
+    const Circuit cached = route(true, nullptr);
+    EXPECT_TRUE(Circuit::bitIdentical(cached, route(false, nullptr)));
+    for (const weyl::Coord primer : {weyl::Coord{5e-10, 0, 0},
+                                     weyl::Coord{4.7e-8, 0, 0}}) {
+        EXPECT_TRUE(Circuit::bitIdentical(cached, route(true, &primer)))
+            << primer.toString();
+    }
+}
+
 TEST(Trials, DeterministicForFixedSeed)
 {
     auto circ = bench::qft(6, true);

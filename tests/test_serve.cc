@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
@@ -285,6 +286,23 @@ TEST(ServeEngine, MalformedRequestsGetStructuredErrorsNotCrashes)
     json::Value good = handleParsed(engine, requestLine(7));
     EXPECT_TRUE(good["ok"].asBool());
     EXPECT_EQ(engine.counters().errors, 5u);
+}
+
+TEST(ServeEngine, TopologyCacheHasAFixedCapacity)
+{
+    // Every distinct spec builds a device; the engine keeps only the
+    // most recently used ones.
+    serve::Engine engine;
+    const size_t cap = serve::Engine::kTopologyCacheEntries;
+    for (size_t i = 0; i < cap + 8; ++i) {
+        const std::string spec = "line" + std::to_string(3 + i);
+        json::Value doc = handleParsed(
+            engine, requestLine(int(i), kQasm,
+                                "{\"trials\":1,\"swapTrials\":1,"
+                                "\"topology\":\"" + spec + "\"}"));
+        ASSERT_TRUE(doc["ok"].asBool()) << doc.dump(0);
+        EXPECT_EQ(engine.topologiesCached(), std::min(i + 1, cap));
+    }
 }
 
 // --- engine: shutdown -------------------------------------------------------

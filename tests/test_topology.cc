@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "bench_circuits/generators.hh"
 #include "layout/layout.hh"
 #include "layout/vf2.hh"
@@ -111,6 +114,35 @@ TEST(Coupling, GeneratorsRejectDegenerateSizes)
     EXPECT_EQ(CouplingMap::line(1).numQubits(), 1);
     EXPECT_EQ(CouplingMap::ring(2).numQubits(), 2);
     EXPECT_EQ(CouplingMap::grid(1, 1).numQubits(), 1);
+}
+
+TEST(Coupling, SpecSizesAreBoundedAndNeverWrap)
+{
+    constexpr int kMax = CouplingMap::kMaxSpecQubits;
+    EXPECT_GE(kMax, 1121);
+    EXPECT_EQ(CouplingMap::parseSpec("line" + std::to_string(kMax), 1)
+                  .numQubits(),
+              kMax);
+    EXPECT_EQ(CouplingMap::parseSpec("grid3x4", 1).numQubits(), 12);
+    EXPECT_EQ(CouplingMap::parseSpec("auto", 10).numQubits(), 16);
+    // Sizes that wrap a 32-bit int, overflow 64 bits, or exceed the
+    // ceiling (alone or as a grid product) are errors, never another
+    // device.
+    for (const char *spec :
+         {"line4294967304", "ring4294967297", "grid4294967299x3",
+          "grid3x4294967299", "alltoall100000", "grid34x34", "line1122",
+          "line99999999999999999999999", "grid2x18446744073709551617"}) {
+        EXPECT_THROW(CouplingMap::parseSpec(spec, 1), std::invalid_argument)
+            << spec;
+    }
+    EXPECT_THROW(CouplingMap::parseSpec("auto", kMax + 1),
+                 std::invalid_argument);
+    // Zero, signs and stray characters are not sizes.
+    for (const char *spec : {"line0", "grid0x3", "line-4", "line+4",
+                             "line4x", "gridx3", "grid3x", "alltoall"}) {
+        EXPECT_THROW(CouplingMap::parseSpec(spec, 1), std::invalid_argument)
+            << spec;
+    }
 }
 
 TEST(Coupling, CustomConstructorRejectsBadEdges)
