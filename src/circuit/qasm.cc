@@ -10,8 +10,10 @@
 
 #include <cctype>
 #include <cstdarg>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -455,6 +457,12 @@ fromQasm(const std::string &text)
             p.expect(']');
             p.expect(';');
             if (word == "qreg") {
+                // Summed in 64 bits: two registers near INT_MAX must not
+                // wrap into a negative width.
+                if (int64_t(num_qubits) + n > std::numeric_limits<int>::max())
+                    raiseAt(word_line, word_col,
+                            "qreg %s[%d] brings the circuit past %d qubits",
+                            name.c_str(), n, std::numeric_limits<int>::max());
                 qregs.push_back({name, num_qubits, n});
                 num_qubits += n;
             }

@@ -345,7 +345,7 @@ cmdBench(const std::vector<std::string> &args, std::ostream &out,
     ArgumentParser parser("bench", "[--check <baseline.json>]");
     parser.addOption("--experiment", "NAME", "bench",
                      "counter-gated experiment: bench (Table III routing, "
-                     "BENCH_fig13.json), fig12-large (1000+ qubit sparse "
+                     "BENCH_fig13.json), fig12-large (1000+ qubit "
                      "topologies, BENCH_large_topo.json), or "
                      "bench-lowering (fit pipeline cold vs catalog, "
                      "BENCH_lowering.json)");

@@ -1174,27 +1174,17 @@ runBenchRouting(const SweepKnobs &userKnobs)
 /**
  * Large-device routing gate (fig12 at Osprey/Condor scale): route a
  * slice of the Table III suite on the 433/1121-qubit heavy-hex and
- * 33x33-grid topologies, which build in sparse mode (CSR + BFS-on-demand
- * distance rows; no O(n^2) tables). The artifact records the same
- * deterministic hot-path counters as the `bench` experiment -- so
- * `mirage bench --experiment fig12-large --check` gates regressions the
- * same way -- plus per-topology memory accounting (CSR + landmarks +
- * per-thread row cache vs the dense-equivalent flat tables) and an
- * admissibility audit of the ALT landmark lower bounds. The
- * `memorySubQuadratic` summary flag is the CI memory gate.
+ * 33x33-grid topologies. The artifact records the same deterministic
+ * hot-path counters as the `bench` experiment, so `mirage bench
+ * --experiment fig12-large --check` gates regressions the same way.
  */
 json::Value
 runFig12Large(const SweepKnobs &userKnobs)
 {
     // Small knob defaults: a single routed pass per direction is enough
-    // for the counters/memory gate, and keeps the 1121-qubit sweep in CI
+    // for the counter gate, and keeps the 1121-qubit sweep in CI
     // seconds territory.
     ResolvedKnobs knobs = resolve(userKnobs, 1, 2, 1, 1);
-    // Pin the per-thread row-cache budget so the memory audit is a
-    // fixed, reproducible bound (128 rows ~= 0.5 MB at n=1121); restored
-    // to the library default afterwards.
-    constexpr size_t kAuditRowCacheCapacity = 128;
-    topology::CouplingMap::setRowCacheCapacity(kAuditRowCacheCapacity);
     const std::vector<topology::CouplingMap> devices = {
         topology::CouplingMap::heavyHex433(),
         topology::CouplingMap::heavyHex1121(),
@@ -1211,13 +1201,9 @@ runFig12Large(const SweepKnobs &userKnobs)
 
     json::Value rows = json::Value::array();
     json::Value topo_summaries = json::Value::array();
-    bool all_sub_quadratic = true;
-    bool all_admissible = true;
     bool all_near_linear = true;
-    std::vector<std::pair<size_t, double>> ratio_by_n;
     for (const auto &device : devices) {
         const size_t n = size_t(device.numQubits());
-        topology::CouplingMap::clearRowCache();
         // Smallest/largest circuit by 2Q count on this device, for the
         // route-time-vs-gate-count growth comparison.
         int gates_min = 0, gates_max = 0;
@@ -1227,9 +1213,6 @@ runFig12Large(const SweepKnobs &userKnobs)
             auto circ = info.make();
             auto opts =
                 sweepOptions(mirage_pass::Flow::MirageDepth, 0xF12, knobs);
-            // Serial: the memory audit below reads the calling thread's
-            // row cache, which a trial-grid fan-out would bypass.
-            opts.threads = 1;
             auto res = mirage_pass::transpile(circ, device, opts);
 
             const auto &c = res.routingCounters;
@@ -1260,37 +1243,6 @@ runFig12Large(const SweepKnobs &userKnobs)
             }
         }
 
-        // Memory audit: everything the sparse device held resident while
-        // routing the whole slice, vs the flat tables dense mode would
-        // have materialized. Captured before the landmark audit below so
-        // its row fetches don't inflate the routing numbers.
-        const auto cache = topology::CouplingMap::rowCacheStats();
-        const size_t resident = device.derivedTableBytes() + cache.bytes;
-        const size_t dense_equiv =
-            n * n * (sizeof(int) + sizeof(uint8_t));
-        const bool sub_quadratic = 2 * resident < dense_equiv;
-        all_sub_quadratic = all_sub_quadratic && sub_quadratic;
-
-        // Landmark audit: the ALT bound must be admissible (never above
-        // the exact BFS distance) on a deterministic pair sample.
-        bool admissible = true;
-        double ratio_sum = 0;
-        int sampled = 0;
-        for (int s = 0; s < 500; ++s) {
-            const int a = int((uint64_t(s) * 97) % n);
-            const int b = int((uint64_t(s) * 193 + 41) % n);
-            if (a == b)
-                continue;
-            const int exact = device.distance(a, b);
-            const int bound = device.distanceLowerBound(a, b);
-            admissible = admissible && bound >= 0 && bound <= exact;
-            if (exact > 0) {
-                ratio_sum += double(bound) / double(exact);
-                ++sampled;
-            }
-        }
-        all_admissible = all_admissible && admissible;
-
         // Near-linear route time in gate count: going from the smallest
         // to the largest circuit, wall time must not grow more than 1.5x
         // the gate-count growth (in practice it grows slower -- per-pass
@@ -1303,48 +1255,20 @@ runFig12Large(const SweepKnobs &userKnobs)
         const bool near_linear =
             gate_growth > 0 && time_growth <= 1.5 * gate_growth;
         all_near_linear = all_near_linear && near_linear;
-        ratio_by_n.emplace_back(
-            n, dense_equiv ? double(resident) / double(dense_equiv) : 0.0);
 
         json::Value ts = json::Value::object();
         ts.set("topology", device.name());
         ts.set("qubits", uint64_t(n));
         ts.set("edges", uint64_t(device.edges().size()));
-        ts.set("sparse", device.sparse());
-        ts.set("derivedTableBytes", uint64_t(device.derivedTableBytes()));
-        ts.set("rowCacheBytes", uint64_t(cache.bytes));
-        ts.set("rowCacheRows", uint64_t(cache.rows));
-        ts.set("rowCacheHits", cache.hits);
-        ts.set("rowCacheMisses", cache.misses);
-        ts.set("rowCacheEvictions", cache.evictions);
-        ts.set("denseEquivalentBytes", uint64_t(dense_equiv));
-        ts.set("memoryRatio",
-               dense_equiv ? double(resident) / double(dense_equiv) : 0.0);
-        ts.set("memorySubQuadratic", sub_quadratic);
-        ts.set("landmarkBoundMeanRatio",
-               sampled ? ratio_sum / sampled : 0.0);
-        ts.set("landmarksAdmissible", admissible);
         ts.set("routeTimeGrowth", time_growth);
         ts.set("gateCountGrowth", gate_growth);
         ts.set("routeTimeNearLinearInGates", near_linear);
         topo_summaries.push(std::move(ts));
     }
-    // The point of sparse mode: resident memory relative to dense must
-    // FALL as devices grow (O(n + m) vs O(n^2)). Compare the smallest
-    // device against the largest.
-    std::sort(ratio_by_n.begin(), ratio_by_n.end());
-    const bool ratio_shrinks =
-        ratio_by_n.size() < 2 ||
-        ratio_by_n.back().second < ratio_by_n.front().second;
-    // Restore the library-default cache budget for any later experiment
-    // in this process.
-    topology::CouplingMap::clearRowCache();
-    topology::CouplingMap::setRowCacheCapacity(256);
 
     json::Value out = json::Value::object();
     json::Value params = parametersJson(knobs);
     params.set("circuits", uint64_t(limit));
-    params.set("rowCacheCapacity", uint64_t(kAuditRowCacheCapacity));
     out.set("parameters", std::move(params));
     json::Value cols = json::Value::array();
     cols.push(column("name", "name"));
@@ -1360,21 +1284,14 @@ runFig12Large(const SweepKnobs &userKnobs)
     out.set("rows", std::move(rows));
     json::Value summary = json::Value::object();
     summary.set("topologies", std::move(topo_summaries));
-    summary.set("memorySubQuadratic", all_sub_quadratic);
-    summary.set("memoryRatioShrinksWithN", ratio_shrinks);
-    summary.set("landmarksAdmissible", all_admissible);
     summary.set("routeTimeNearLinearInGates", all_near_linear);
     out.set("summary", std::move(summary));
     out.set("notes",
             "Table III circuits routed on 433/1121-qubit heavy-hex and a "
-            "33x33 grid, all in sparse topology mode (CSR adjacency + "
-            "BFS-on-demand distance rows behind a per-thread LRU cache; "
-            "no O(n^2) tables). memorySubQuadratic asserts resident "
-            "topology bytes (tables + row cache) stay under half of the "
-            "dense-equivalent flat tables; msPerGate2q tracks route-time "
-            "scaling in gate count. Counters are deterministic and gated "
-            "by `mirage bench --experiment fig12-large --check`; wall "
-            "times vary by machine and are never compared.");
+            "33x33 grid; msPerGate2q tracks route-time scaling in gate "
+            "count. Counters are deterministic and gated by `mirage bench "
+            "--experiment fig12-large --check`; wall times vary by machine "
+            "and are never compared.");
     return out;
 }
 
@@ -1722,12 +1639,10 @@ experimentRegistry()
          runBenchRouting},
         {"fig12-large", "Figure 12 (large devices)",
          "Table III circuits routed on 433/1121-qubit heavy-hex and a "
-         "33x33 grid in sparse topology mode, with memory and "
-         "landmark-bound audits",
+         "33x33 grid, with deterministic routing counters",
          "beyond paper: the paper evaluates up to heavy-hex 57; this "
-         "sweep scales routing to IBM Osprey/Condor-class devices with "
-         "sub-quadratic topology memory (tracked as the committed "
-         "BENCH_large_topo.json trajectory)",
+         "sweep scales routing to IBM Osprey/Condor-class devices "
+         "(tracked as the committed BENCH_large_topo.json trajectory)",
          runFig12Large},
         {"bench-lowering", "Figure 13 (lowering)",
          "Lowering cold-start trajectory: cold fits vs the committed "
@@ -1895,27 +1810,6 @@ checkBenchCounters(const json::Value &current, const json::Value &baseline,
         return fail("experiment mismatch: current '" + experiment +
                     "' vs baseline '" +
                     baseline["experiment"].asString() + "'");
-
-    // Memory gate for the sparse-topology bench: losing the
-    // sub-quadratic property is a regression even if counters hold.
-    if (experiment == "fig12-large") {
-        const json::Value *sub =
-            current["summary"].find("memorySubQuadratic");
-        if (!sub || !sub->isBool() || !sub->asBool())
-            return fail("memorySubQuadratic is not true: sparse topology "
-                        "memory regressed to O(n^2) territory");
-        const json::Value *shrink =
-            current["summary"].find("memoryRatioShrinksWithN");
-        if (!shrink || !shrink->isBool() || !shrink->asBool())
-            return fail("memoryRatioShrinksWithN is not true: resident "
-                        "topology memory is not scaling sub-quadratically "
-                        "across device sizes");
-        const json::Value *adm =
-            current["summary"].find("landmarksAdmissible");
-        if (!adm || !adm->isBool() || !adm->asBool())
-            return fail("landmarksAdmissible is not true: ALT lower "
-                        "bound exceeded an exact distance");
-    }
 
     // Counters are only comparable when the routing workload matches;
     // threads is exempt (counters are thread-invariant by contract).

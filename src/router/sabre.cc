@@ -444,12 +444,12 @@ struct PassState
     deltaSums(const ScoreSums &base, int pa, int pb) const
     {
         ScoreSums s = base;
-        const int *row_pb = coupling->distanceRow(pb);
+        const int16_t *row_pb = coupling->distanceRow(pb);
         for (const TouchEntry &e : scratch->touch[size_t(pa)]) {
             if (e.other != pb)
                 applyDelta(s, e, row_pb[e.other]);
         }
-        const int *row_pa = coupling->distanceRow(pa);
+        const int16_t *row_pa = coupling->distanceRow(pa);
         for (const TouchEntry &e : scratch->touch[size_t(pb)]) {
             if (e.other != pa)
                 applyDelta(s, e, row_pa[e.other]);

@@ -1,19 +1,14 @@
 /**
  * @file
  * Coupling map construction (line, ring, grid, heavy-hex, all-to-all),
- * CSR adjacency, and BFS distances: precomputed all-pairs tables in
- * dense mode, on-demand rows behind a per-thread LRU cache plus ALT
- * landmark lower bounds in sparse mode.
+ * CSR adjacency, connected components and the all-pairs BFS distance
+ * table.
  */
 
 #include "topology/coupling.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <charconv>
-#include <limits>
-#include <list>
-#include <unordered_map>
 
 namespace mirage::topology {
 
@@ -25,72 +20,45 @@ edgeStr(int a, int b)
     return "(" + std::to_string(a) + "," + std::to_string(b) + ")";
 }
 
-/** Next topologyId_ for a sparse map. Never reused, so a row cached for
- * a destroyed map can never be served to a different topology. */
-std::atomic<uint64_t> g_nextTopologyId{1};
-
-/** How many landmark rows a sparse map precomputes for
- * distanceLowerBound. 8 rows at n=1121 is ~36 KB -- O(n), not O(n^2). */
-constexpr int kNumLandmarks = 8;
-
-// --- per-thread LRU cache of BFS distance rows (sparse mode) ----------
-//
-// Thread-local by design: CouplingMap is shared read-only across the
-// routing trial threads (exec::parallelFor), so a shared mutable cache
-// would need locking on the hottest lookup in the router and evictions
-// could dangle row pointers held by another thread. Per-thread caches
-// are lock-free, TSan-clean, and bounded at capacity * n * 4 bytes per
-// routing thread.
-
-struct RowKey
+/** Edges of a line of n qubits. */
+std::vector<std::pair<int, int>>
+lineEdges(int n)
 {
-    uint64_t id;
-    int src;
-    bool operator==(const RowKey &o) const
-    {
-        return id == o.id && src == o.src;
-    }
-};
+    std::vector<std::pair<int, int>> e;
+    for (int i = 0; i + 1 < n; ++i)
+        e.emplace_back(i, i + 1);
+    return e;
+}
 
-struct RowKeyHash
+/**
+ * Append the edges of CouplingMap::heavyHex(rows, row_width) to e and
+ * return its qubit count. The named heavy-hex devices extend this edge
+ * list instead of building the base map, whose distance table would be
+ * thrown away.
+ */
+int
+heavyHexEdges(int rows, int row_width, std::vector<std::pair<int, int>> &e)
 {
-    size_t operator()(const RowKey &k) const
-    {
-        uint64_t h = k.id * 0x9E3779B97F4A7C15ull ^ uint64_t(uint32_t(k.src));
-        return size_t(h ^ (h >> 32));
-    }
-};
+    // Row qubits 0 .. rows*row_width-1 laid out row-major and connected in
+    // lines; bridge qubits between consecutive rows at columns congruent
+    // to 0 (even gaps) or 2 (odd gaps) mod 4, which tiles the plane with
+    // heavy hexagons and keeps every degree <= 3.
+    auto id = [row_width](int r, int c) { return r * row_width + c; };
+    for (int r = 0; r < rows; ++r)
+        for (int c = 0; c + 1 < row_width; ++c)
+            e.emplace_back(id(r, c), id(r, c + 1));
 
-struct RowCacheState
-{
-    struct Entry
-    {
-        RowKey key{0, 0};
-        std::vector<int> row;
-    };
-    /** Front = most recently used. */
-    std::list<Entry> lru;
-    std::unordered_map<RowKey, std::list<Entry>::iterator, RowKeyHash> index;
-    size_t capacity = 256;
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
-
-    void evictDownTo(size_t limit)
-    {
-        while (lru.size() > limit) {
-            index.erase(lru.back().key);
-            lru.pop_back();
-            ++evictions;
+    int next = rows * row_width;
+    for (int gap = 0; gap + 1 < rows; ++gap) {
+        int offset = (gap % 2 == 0) ? 0 : 2;
+        for (int c = offset; c < row_width; c += 4) {
+            int bridge = next++;
+            e.emplace_back(id(gap, c), bridge);
+            e.emplace_back(bridge, id(gap + 1, c));
         }
     }
-};
-
-thread_local RowCacheState t_rowCache;
-
-/** Floor for setRowCacheCapacity: deltaSums in sabre.cc holds two rows
- * at once, so fetching the second must never evict the first. */
-constexpr size_t kMinRowCacheCapacity = 8;
+    return next;
+}
 
 } // namespace
 
@@ -103,6 +71,11 @@ CouplingMap::CouplingMap(int num_qubits,
         throw TopologyError("coupling map '" + name_ +
                             "': negative qubit count " +
                             std::to_string(numQubits_));
+    if (numQubits_ > kMaxSpecQubits)
+        throw TopologyError("coupling map '" + name_ + "': " +
+                            std::to_string(numQubits_) +
+                            " qubits is more than " +
+                            std::to_string(kMaxSpecQubits));
     for (auto &[a, b] : edges_) {
         if (a < 0 || a >= numQubits_ || b < 0 || b >= numQubits_)
             throw TopologyError("coupling map '" + name_ + "': edge " +
@@ -120,18 +93,11 @@ CouplingMap::CouplingMap(int num_qubits,
     if (dup != edges_.end())
         throw TopologyError("coupling map '" + name_ + "': duplicate edge " +
                             edgeStr(dup->first, dup->second));
-    buildDerived(/*force_sparse=*/false);
-}
 
-void
-CouplingMap::buildDerived(bool force_sparse)
-{
+    // CSR adjacency. Edges are sorted and unique; rows come out sorted
+    // because we fill ascending-neighbor per endpoint, then sort each
+    // row (the b->a direction arrives out of order).
     const size_t n = size_t(numQubits_);
-    sparse_ = force_sparse || numQubits_ > kDenseQubitThreshold;
-
-    // CSR adjacency (both modes). Edges are sorted and unique; rows come
-    // out sorted because we fill ascending-neighbor per endpoint, then
-    // sort each row (the b->a direction arrives out of order).
     csrOffsets_.assign(n + 1, 0);
     for (const auto &[a, b] : edges_) {
         ++csrOffsets_[size_t(a) + 1];
@@ -152,16 +118,15 @@ CouplingMap::buildDerived(bool force_sparse)
     // Connected components, O(n + m): the route-entry fail-fast and the
     // shortestPath disconnected check key off these ids in O(1).
     component_.assign(n, -1);
-    numComponents_ = 0;
+    std::vector<size_t> componentSize;
     std::vector<int> queue;
     queue.reserve(n);
     for (int root = 0; root < numQubits_; ++root) {
         if (component_[size_t(root)] >= 0)
             continue;
-        int comp = numComponents_++;
+        const int comp = numComponents_++;
         component_[size_t(root)] = comp;
-        queue.clear();
-        queue.push_back(root);
+        queue.assign(1, root);
         for (size_t head = 0; head < queue.size(); ++head) {
             for (int v : neighbors(queue[head])) {
                 if (component_[size_t(v)] < 0) {
@@ -170,134 +135,31 @@ CouplingMap::buildDerived(bool force_sparse)
                 }
             }
         }
+        componentSize.push_back(queue.size());
     }
 
-    if (!sparse_) {
-        // Dense fast path: flat adjacency matrix + all-pairs distances.
-        adj_.assign(n * n, 0);
-        for (const auto &[a, b] : edges_) {
-            adj_[size_t(a) * n + size_t(b)] = 1;
-            adj_[size_t(b) * n + size_t(a)] = 1;
-        }
-        dist_.assign(n * n, -1);
-        for (int src = 0; src < numQubits_; ++src)
-            bfsFrom(src, dist_.data() + size_t(src) * n);
-        topologyId_ = 0;
-        landmarks_.clear();
-        landmarkDist_.clear();
-        return;
-    }
-
-    // Sparse mode: no O(n^2) tables. Distance rows are BFS-on-demand via
-    // the per-thread cache; here we only pick landmarks for the ALT
-    // lower bound, by farthest-point sampling (classic ALT placement:
-    // spread landmarks toward the periphery so |d(L,a) - d(L,b)| is
-    // tight along lattice axes). Deterministic: seeded at qubit 0,
-    // ties broken by lowest index.
-    adj_.clear();
-    adj_.shrink_to_fit();
-    dist_.clear();
-    dist_.shrink_to_fit();
-    topologyId_ = g_nextTopologyId.fetch_add(1, std::memory_order_relaxed);
-
-    landmarks_.clear();
-    landmarkDist_.clear();
-    const int k = std::min(kNumLandmarks, numQubits_);
-    if (k <= 0)
-        return;
-    landmarkDist_.assign(size_t(k) * n, -1);
-    // minDist[q] = min over chosen landmarks of d(L, q); unreachable
-    // counts as "infinitely far" so later landmarks seed every component.
-    std::vector<int> minDist(n, std::numeric_limits<int>::max());
-    int next = 0;
-    for (int li = 0; li < k; ++li) {
-        landmarks_.push_back(next);
-        int *row = landmarkDist_.data() + size_t(li) * n;
-        bfsFrom(next, row);
-        int best = -1;
-        next = 0;
-        for (size_t q = 0; q < n; ++q) {
-            int d = row[q] < 0 ? std::numeric_limits<int>::max() : row[q];
-            minDist[q] = std::min(minDist[q], d);
-            if (minDist[q] > best) {
-                best = minDist[q];
-                next = int(q);
+    // All-pairs distances, one BFS per source. Each BFS stops once it
+    // has reached the whole component: on dense graphs (all-to-all) the
+    // last neighbor lists would find nothing new. n <= kMaxSpecQubits
+    // keeps every hop count below 1121, well inside int16_t.
+    dist_.assign(n * n, -1);
+    queue.resize(n);
+    for (int src = 0; src < numQubits_; ++src) {
+        int16_t *row = dist_.data() + size_t(src) * n;
+        const size_t reach = componentSize[size_t(componentOf(src))];
+        row[src] = 0;
+        queue[0] = src;
+        for (size_t head = 0, tail = 1; tail < reach; ++head) {
+            const int u = queue[head];
+            const int16_t next = int16_t(row[u] + 1);
+            for (int v : neighbors(u)) {
+                if (row[v] < 0) {
+                    row[v] = next;
+                    queue[tail++] = v;
+                }
             }
         }
     }
-}
-
-void
-CouplingMap::bfsFrom(int src, int *dist) const
-{
-    dist[src] = 0;
-    std::vector<int> queue;
-    queue.reserve(size_t(numQubits_));
-    queue.push_back(src);
-    for (size_t head = 0; head < queue.size(); ++head) {
-        int u = queue[head];
-        for (int v : neighbors(u)) {
-            if (dist[v] < 0) {
-                dist[v] = dist[u] + 1;
-                queue.push_back(v);
-            }
-        }
-    }
-}
-
-const int *
-CouplingMap::sparseRow(int a) const
-{
-    RowCacheState &c = t_rowCache;
-    const RowKey key{topologyId_, a};
-    auto it = c.index.find(key);
-    if (it != c.index.end()) {
-        ++c.hits;
-        c.lru.splice(c.lru.begin(), c.lru, it->second);
-        return it->second->row.data();
-    }
-    ++c.misses;
-    // Recycle the LRU entry's row storage instead of reallocating.
-    std::list<RowCacheState::Entry> node;
-    if (c.lru.size() >= c.capacity) {
-        auto last = std::prev(c.lru.end());
-        c.index.erase(last->key);
-        node.splice(node.begin(), c.lru, last);
-        ++c.evictions;
-    } else {
-        node.emplace_back();
-    }
-    RowCacheState::Entry &e = node.front();
-    e.key = key;
-    e.row.assign(size_t(numQubits_), -1);
-    bfsFrom(a, e.row.data());
-    c.lru.splice(c.lru.begin(), node);
-    c.index[key] = c.lru.begin();
-    return c.lru.front().row.data();
-}
-
-int
-CouplingMap::distanceLowerBound(int a, int b) const
-{
-    if (!sparse_)
-        return distance(a, b);
-    if (!sameComponent(a, b))
-        return -1;
-    if (a == b)
-        return 0;
-    // ALT: d(a,b) >= |d(L,a) - d(L,b)| by the triangle inequality.
-    // Adjacent qubits give >= 1 trivially.
-    int best = 1;
-    const size_t n = size_t(numQubits_);
-    for (size_t li = 0; li < landmarks_.size(); ++li) {
-        const int *row = landmarkDist_.data() + li * n;
-        const int da = row[a];
-        const int db = row[b];
-        if (da < 0 || db < 0)
-            continue; // landmark in another component
-        best = std::max(best, da < db ? db - da : da - db);
-    }
-    return best;
 }
 
 int
@@ -307,29 +169,6 @@ CouplingMap::maxDegree() const
     for (int q = 0; q < numQubits_; ++q)
         best = std::max(best, int(neighbors(q).size()));
     return best;
-}
-
-CouplingMap
-CouplingMap::asSparse() const
-{
-    CouplingMap m;
-    m.numQubits_ = numQubits_;
-    m.name_ = name_;
-    m.edges_ = edges_;
-    m.buildDerived(/*force_sparse=*/true);
-    return m;
-}
-
-size_t
-CouplingMap::derivedTableBytes() const
-{
-    return csrOffsets_.capacity() * sizeof(int) +
-           csrNeighbors_.capacity() * sizeof(int) +
-           component_.capacity() * sizeof(int) +
-           adj_.capacity() * sizeof(uint8_t) +
-           dist_.capacity() * sizeof(int) +
-           landmarks_.capacity() * sizeof(int) +
-           landmarkDist_.capacity() * sizeof(int);
 }
 
 std::vector<int>
@@ -347,10 +186,8 @@ CouplingMap::shortestPath(int a, int b) const
             "': they are in different connected components (" +
             std::to_string(componentOf(a)) + " vs " +
             std::to_string(componentOf(b)) + ")");
-    // Walk b -> a through any neighbor one hop closer to a. One row
-    // fetch covers the whole reconstruction in either storage mode, and
-    // both modes walk identical rows, so the returned path is identical.
-    const int *row = distanceRow(a);
+    // Walk b -> a through any neighbor one hop closer to a.
+    const int16_t *row = distanceRow(a);
     std::vector<int> path = {b};
     int cur = b;
     while (cur != a) {
@@ -366,48 +203,13 @@ CouplingMap::shortestPath(int a, int b) const
     return path;
 }
 
-CouplingMap::RowCacheStats
-CouplingMap::rowCacheStats()
-{
-    const RowCacheState &c = t_rowCache;
-    RowCacheStats s;
-    s.rows = c.lru.size();
-    s.capacity = c.capacity;
-    for (const auto &e : c.lru)
-        s.bytes += e.row.capacity() * sizeof(int);
-    s.hits = c.hits;
-    s.misses = c.misses;
-    s.evictions = c.evictions;
-    return s;
-}
-
-void
-CouplingMap::setRowCacheCapacity(size_t rows)
-{
-    RowCacheState &c = t_rowCache;
-    c.capacity = std::max(rows, kMinRowCacheCapacity);
-    c.evictDownTo(c.capacity);
-}
-
-void
-CouplingMap::clearRowCache()
-{
-    RowCacheState &c = t_rowCache;
-    c.lru.clear();
-    c.index.clear();
-    c.hits = c.misses = c.evictions = 0;
-}
-
 CouplingMap
 CouplingMap::line(int n)
 {
     if (n <= 0)
         throw TopologyError("line(" + std::to_string(n) +
                             "): qubit count must be positive");
-    std::vector<std::pair<int, int>> e;
-    for (int i = 0; i + 1 < n; ++i)
-        e.emplace_back(i, i + 1);
-    return CouplingMap(n, std::move(e), "line-" + std::to_string(n));
+    return CouplingMap(n, lineEdges(n), "line-" + std::to_string(n));
 }
 
 CouplingMap
@@ -416,8 +218,7 @@ CouplingMap::ring(int n)
     if (n <= 0)
         throw TopologyError("ring(" + std::to_string(n) +
                             "): qubit count must be positive");
-    auto cm = line(n);
-    auto e = cm.edges();
+    auto e = lineEdges(n);
     if (n > 2)
         e.emplace_back(0, n - 1);
     return CouplingMap(n, std::move(e), "ring-" + std::to_string(n));
@@ -465,27 +266,9 @@ CouplingMap::heavyHex(int rows, int row_width)
         throw TopologyError("heavyHex(" + std::to_string(rows) + ", " +
                             std::to_string(row_width) +
                             "): dimensions must be positive");
-    // Row qubits 0 .. rows*row_width-1 laid out row-major and connected in
-    // lines; bridge qubits between consecutive rows at columns congruent
-    // to 0 (even gaps) or 2 (odd gaps) mod 4, which tiles the plane with
-    // heavy hexagons and keeps every degree <= 3.
     std::vector<std::pair<int, int>> e;
-    auto id = [row_width](int r, int c) { return r * row_width + c; };
-    for (int r = 0; r < rows; ++r)
-        for (int c = 0; c + 1 < row_width; ++c)
-            e.emplace_back(id(r, c), id(r, c + 1));
-
-    int next = rows * row_width;
-    for (int gap = 0; gap + 1 < rows; ++gap) {
-        int offset = (gap % 2 == 0) ? 0 : 2;
-        for (int c = offset; c < row_width; c += 4) {
-            int bridge = next++;
-            e.emplace_back(id(gap, c), bridge);
-            e.emplace_back(bridge, id(gap + 1, c));
-        }
-    }
-    return CouplingMap(next, std::move(e),
-                       "heavyhex-" + std::to_string(next));
+    const int n = heavyHexEdges(rows, row_width, e);
+    return CouplingMap(n, std::move(e), "heavyhex-" + std::to_string(n));
 }
 
 CouplingMap
@@ -494,9 +277,8 @@ CouplingMap::heavyHex57()
     // 5 rows x 9 row qubits = 45 plus 10 bridges = 55; two boundary flag
     // qubits (as on IBM devices) bring the lattice to 57 while keeping the
     // maximum degree at 3.
-    CouplingMap base = heavyHex(5, 9);
-    int n = base.numQubits();
-    auto e = base.edges();
+    std::vector<std::pair<int, int>> e;
+    const int n = heavyHexEdges(5, 9, e);
     // Dangling boundary qubits attached to degree-2 corner-row sites
     // (columns without a bridge in the adjacent gap).
     e.emplace_back(2, n);             // above row 0, column 2
@@ -510,11 +292,9 @@ CouplingMap::heavyHex433()
     // IBM Osprey scale: 15 rows x 23 row qubits = 345 plus 14 gaps x 6
     // bridges = 84 -> 429; four boundary flag qubits on degree-2 sites
     // (row 0 and row 14 at odd columns, which never host a bridge) bring
-    // it to 433 with max degree still 3. Over kDenseQubitThreshold, so
-    // this builds in sparse mode.
-    CouplingMap base = heavyHex(15, 23);
-    int n = base.numQubits();
-    auto e = base.edges();
+    // it to 433 with max degree still 3.
+    std::vector<std::pair<int, int>> e;
+    const int n = heavyHexEdges(15, 23, e);
     e.emplace_back(1, n);               // above row 0, column 1
     e.emplace_back(3, n + 1);           // above row 0, column 3
     e.emplace_back(14 * 23 + 1, n + 2); // below row 14, column 1
@@ -527,10 +307,9 @@ CouplingMap::heavyHex1121()
 {
     // IBM Condor scale: 25 rows x 36 row qubits = 900 plus 24 gaps x 9
     // bridges = 216 -> 1116; five boundary flag qubits on degree-2 sites
-    // bring it to 1121 with max degree still 3. Sparse mode.
-    CouplingMap base = heavyHex(25, 36);
-    int n = base.numQubits();
-    auto e = base.edges();
+    // bring it to 1121 with max degree still 3.
+    std::vector<std::pair<int, int>> e;
+    const int n = heavyHexEdges(25, 36, e);
     e.emplace_back(1, n);               // above row 0, column 1
     e.emplace_back(3, n + 1);           // above row 0, column 3
     e.emplace_back(5, n + 2);           // above row 0, column 5
@@ -552,6 +331,13 @@ CouplingMap::concreteSpec(const std::string &spec, int min_qubits)
 {
     if (spec != "auto")
         return spec;
+    // Bound the declared width first: the loop below squares `side` in
+    // int, which a width near INT_MAX would spin on.
+    if (min_qubits > kMaxSpecQubits)
+        throw std::invalid_argument(
+            "topology 'auto' has more than " +
+            std::to_string(kMaxSpecQubits) + " qubits: the circuit declares " +
+            std::to_string(min_qubits));
     int side = 1;
     while (side * side < min_qubits)
         ++side;

@@ -6,23 +6,12 @@
  * lattice (6x6, 8x8), a 57-qubit heavy-hex lattice, and all-to-all, plus
  * the large-device instances (heavy-hex 433/1121 a la IBM Osprey/Condor).
  *
- * Storage is split by device size:
- *
- *  - **Dense mode** (n <= kDenseQubitThreshold): flat O(n^2) adjacency
- *    and all-pairs BFS distance tables, exactly as before. `distance`
- *    and `isEdge` are single loads; `distanceRow` is a pointer into the
- *    row-major table.
- *  - **Sparse mode** (larger devices, or forced via `asSparse()`): CSR
- *    adjacency only -- O(n + m) resident memory -- with distance rows
- *    computed by BFS on demand and kept in a small per-thread LRU row
- *    cache. `distanceRow` still returns a contiguous `const int *` row,
- *    so the routing hot path in src/router/sabre.cc is mode-agnostic.
- *    ALT-style landmark tables give O(1) admissible lower bounds via
- *    `distanceLowerBound` without materializing exact rows.
- *
- * Both modes produce identical `distance` / `distanceRow` /
- * `shortestPath` results (property-tested), so routing output is
- * bit-identical regardless of storage mode.
+ * Every map has one storage: CSR adjacency, connected-component ids and
+ * a row-major n x n table of BFS hop distances. The constructor refuses
+ * more than kMaxSpecQubits qubits, so the table holds at most 1121^2
+ * int16_t entries (2.5 MB); it is built once and shared read-only by
+ * every routing thread. `distance` and `isEdge` are single loads, and
+ * `distanceRow` is a pointer into the table for the routing hot path.
  */
 
 #ifndef MIRAGE_TOPOLOGY_COUPLING_HH
@@ -76,12 +65,15 @@ class CouplingMap
         const int *end_;
     };
 
-    /** Devices up to this many qubits keep the flat O(n^2) tables. */
-    static constexpr int kDenseQubitThreshold = 128;
+    /** Largest device, heavyhex1121's qubit count. The constructor and
+     * parseSpec() refuse anything bigger, which bounds every distance
+     * table at 2.5 MB. */
+    static constexpr int kMaxSpecQubits = 1121;
 
     CouplingMap() = default;
-    /** Throws TopologyError on negative qubit count, out-of-range,
-     * self-loop, or duplicate edges. */
+    /** Throws TopologyError on a negative qubit count, more than
+     * kMaxSpecQubits qubits, or out-of-range, self-loop, or duplicate
+     * edges. */
     CouplingMap(int num_qubits, std::vector<std::pair<int, int>> edges,
                 std::string name = "custom");
 
@@ -95,53 +87,23 @@ class CouplingMap
                             csrNeighbors_.data() + csrOffsets_[size_t(q) + 1]);
     }
 
-    /** Adjacency probe (the routing flush loop's executability test):
-     * O(1) matrix load in dense mode, bounded scan of a sorted CSR row
-     * (degree <= 4 on every shipped lattice) in sparse mode. */
-    bool isEdge(int a, int b) const
-    {
-        if (!sparse_)
-            return adj_[size_t(a) * size_t(numQubits_) + size_t(b)] != 0;
-        for (int nb : neighbors(a)) {
-            if (nb == b)
-                return true;
-            if (nb > b)
-                return false;
-        }
-        return false;
-    }
-    /** Shortest-path distance (hops); -1 if disconnected. Sparse mode
-     * resolves through the per-thread row cache. */
+    /** Adjacency probe (the routing flush loop's executability test). */
+    bool isEdge(int a, int b) const { return distance(a, b) == 1; }
+    /** Shortest-path distance (hops); -1 if disconnected. */
     int distance(int a, int b) const
     {
-        if (!sparse_)
-            return dist_[size_t(a) * size_t(numQubits_) + size_t(b)];
-        return sparseRow(a)[b];
+        return dist_[size_t(a) * size_t(numQubits_) + size_t(b)];
     }
     /**
      * Row `a` of the all-pairs distance table: `distanceRow(a)[b] ==
-     * distance(a, b)`. Always contiguous `int[numQubits()]` storage so
-     * the routing hot path can hoist one pointer per swap candidate.
-     * Dense mode: a pointer into the flat table, valid for the map's
-     * lifetime. Sparse mode: a pointer into the calling thread's LRU
-     * row cache, valid until that thread faults in `rowCacheCapacity() -
-     * 1` further distinct rows (the capacity is clamped >= 8; the
-     * router holds at most two rows at a time).
+     * distance(a, b)`. A pointer into the flat table, valid for the
+     * map's lifetime, so the routing hot path can hoist one pointer per
+     * swap candidate.
      */
-    const int *distanceRow(int a) const
+    const int16_t *distanceRow(int a) const
     {
-        if (!sparse_)
-            return dist_.data() + size_t(a) * size_t(numQubits_);
-        return sparseRow(a);
+        return dist_.data() + size_t(a) * size_t(numQubits_);
     }
-    /**
-     * Admissible lower bound on distance(a, b): exact in dense mode; in
-     * sparse mode the ALT bound max_L |d(L,a) - d(L,b)| over the
-     * precomputed landmark rows -- O(#landmarks) with no BFS and no row
-     * cache traffic, for outlook-style scoring that only needs a bound.
-     * -1 if a and b are in different components (matching distance()).
-     */
-    int distanceLowerBound(int a, int b) const;
 
     bool isConnected() const
     {
@@ -157,17 +119,6 @@ class CouplingMap
     }
     int maxDegree() const;
 
-    /** True when this map uses sparse (CSR + on-demand BFS) storage. */
-    bool sparse() const { return sparse_; }
-    /** Copy of this map with sparse storage forced regardless of size
-     * (test hook for dense-vs-sparse equivalence checks). */
-    CouplingMap asSparse() const;
-
-    /** Resident bytes of derived tables (CSR, components, dense
-     * adjacency/distance tables, landmark rows). Excludes the
-     * per-thread row cache -- see rowCacheStats().bytes. */
-    size_t derivedTableBytes() const;
-
     /**
      * A shortest path from a to b (inclusive of endpoints). Throws
      * TopologyError if a and b are in different components (previously
@@ -175,23 +126,15 @@ class CouplingMap
      */
     std::vector<int> shortestPath(int a, int b) const;
 
-    // Sparse row cache (per-thread; shared by all sparse maps) --------
+    /** Row-cache statistics. Distance rows are no longer cached, so
+     * `misses` is always 0; kept for the perfbench harness. */
     struct RowCacheStats
     {
-        size_t rows = 0;     ///< rows currently resident
-        size_t capacity = 0; ///< eviction threshold (rows)
-        size_t bytes = 0;    ///< resident row storage, bytes
-        uint64_t hits = 0;
-        uint64_t misses = 0;   ///< each miss is one O(n + m) BFS
-        uint64_t evictions = 0;
+        uint64_t misses = 0;
     };
-    /** Stats for the calling thread's row cache. */
-    static RowCacheStats rowCacheStats();
-    /** Set the calling thread's row-cache capacity (clamped to >= 8 so
-     * hot-path callers holding two rows never see an eviction race). */
-    static void setRowCacheCapacity(size_t rows);
-    /** Drop all cached rows (and reset stats) on the calling thread. */
-    static void clearRowCache();
+    static RowCacheStats rowCacheStats() { return {}; }
+    /** No-op (there is no row cache); kept for the perfbench harness. */
+    static void clearRowCache() {}
 
     // Generators -------------------------------------------------------
     static CouplingMap line(int n);
@@ -206,13 +149,10 @@ class CouplingMap
     static CouplingMap heavyHex(int rows, int row_width);
     /** The 57-qubit heavy-hex instance used in the paper's evaluation. */
     static CouplingMap heavyHex57();
-    /** 433-qubit heavy-hex (IBM Osprey scale); sparse storage. */
+    /** 433-qubit heavy-hex (IBM Osprey scale). */
     static CouplingMap heavyHex433();
-    /** 1121-qubit heavy-hex (IBM Condor scale); sparse storage. */
+    /** 1121-qubit heavy-hex (IBM Condor scale). */
     static CouplingMap heavyHex1121();
-
-    /** Largest device a spec may name: heavyhex1121's qubit count. */
-    static constexpr int kMaxSpecQubits = 1121;
 
     /**
      * Parse a device spec string shared by the CLI and the serve
@@ -234,40 +174,19 @@ class CouplingMap
     static std::string specForms();
 
   private:
-    void buildDerived(bool force_sparse);
-    /** BFS from src over the CSR adjacency into dist[0..n), which must
-     * be pre-filled with -1. */
-    void bfsFrom(int src, int *dist) const;
-    const int *sparseRow(int a) const;
-
     int numQubits_ = 0;
     std::string name_;
     std::vector<std::pair<int, int>> edges_;
 
-    // CSR adjacency (both modes): neighbors of q are
+    // CSR adjacency: neighbors of q are
     // csrNeighbors_[csrOffsets_[q] .. csrOffsets_[q+1]), sorted.
     std::vector<int> csrOffsets_;
     std::vector<int> csrNeighbors_;
     /** Connected-component id per qubit. */
     std::vector<int> component_;
     int numComponents_ = 0;
-
-    bool sparse_ = false;
-    /** Globally unique id keying this map's rows in the per-thread row
-     * cache (sparse mode; never reused, so stale entries can't alias a
-     * new map). Copies share the id -- identical edges, identical rows. */
-    uint64_t topologyId_ = 0;
-
-    // Dense mode only:
-    /** Row-major numQubits_ x numQubits_ adjacency matrix. */
-    std::vector<uint8_t> adj_;
     /** Row-major numQubits_ x numQubits_ all-pairs BFS distances. */
-    std::vector<int> dist_;
-
-    // Sparse mode only: landmark qubits (farthest-point sampled) and
-    // their full BFS rows, row-major #landmarks x numQubits_.
-    std::vector<int> landmarks_;
-    std::vector<int> landmarkDist_;
+    std::vector<int16_t> dist_;
 };
 
 } // namespace mirage::topology

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -302,6 +303,50 @@ TEST(CliTranspile, OversizedTopologySpecsAreRejectedOnBothFrontDoors)
         json::Value resp = json::parse(engine.handle(request.dump(0)));
         EXPECT_EQ(resp["error"]["code"].asString(), "request")
             << spec << ": " << resp.dump(0);
+    }
+    EXPECT_EQ(engine.topologiesCached(), 0u);
+}
+
+TEST(CliTranspile, OversizedDeclaredWidthsFailFastOnBothFrontDoors)
+{
+    // A width near INT_MAX under --topology auto, and two registers
+    // whose widths sum past INT_MAX, are refused within a second on the
+    // CLI and on a serve engine (whose default --max-qubits of 0 leaves
+    // the width unchecked until the topology is resolved).
+    const struct
+    {
+        const char *qasm;
+        int exitCode;
+        const char *errorCode;
+        const char *mentions;
+    } cases[] = {
+        {"OPENQASM 2.0;\nqreg q[2147483647];\n", cli::kExitUsage, "request",
+         "more than 1121 qubits"},
+        {"OPENQASM 2.0;\nqreg a[2000000000];\nqreg b[2000000000];\n",
+         cli::kExitFailure, "qasm", ":3:1: qreg b[2000000000]"},
+    };
+    serve::Engine engine;
+    for (const auto &c : cases) {
+        const std::string path = tempPath("wide.qasm");
+        writeFile(path, c.qasm);
+        auto start = std::chrono::steady_clock::now();
+        auto r = runCli({"transpile", path, "--topology", "auto"});
+        EXPECT_LT(std::chrono::steady_clock::now() - start,
+                  std::chrono::seconds(1));
+        EXPECT_EQ(r.code, c.exitCode) << r.err;
+        EXPECT_NE(r.err.find(c.mentions), std::string::npos) << r.err;
+
+        json::Value request = json::Value::object();
+        request.set("qasm", c.qasm);
+        start = std::chrono::steady_clock::now();
+        json::Value resp = json::parse(engine.handle(request.dump(0)));
+        EXPECT_LT(std::chrono::steady_clock::now() - start,
+                  std::chrono::seconds(1));
+        EXPECT_EQ(resp["error"]["code"].asString(), c.errorCode)
+            << resp.dump(0);
+        EXPECT_NE(resp["error"]["message"].asString().find(c.mentions),
+                  std::string::npos)
+            << resp.dump(0);
     }
     EXPECT_EQ(engine.topologiesCached(), 0u);
 }
@@ -886,8 +931,8 @@ TEST(ExperimentRegistry, Fig6AndFig9ReproduceThePaperShapes)
 TEST(ExperimentRegistry, Fig12LargeGatesSparseMemoryAndCounters)
 {
     // One circuit per device keeps this to CI-test territory; the
-    // artifact must be schema-valid and its own counter/memory gate
-    // must accept it (checkBenchCounters is what CI's bench job runs).
+    // artifact must be schema-valid and its own counter gate must
+    // accept it (checkBenchCounters is what CI's bench job runs).
     cli::SweepKnobs knobs;
     knobs.suiteLimit = 1;
     json::Value artifact =
@@ -896,8 +941,6 @@ TEST(ExperimentRegistry, Fig12LargeGatesSparseMemoryAndCounters)
     ASSERT_TRUE(cli::validateArtifact(artifact, &schemaError))
         << schemaError;
     EXPECT_EQ(artifact["rows"].size(), 3u); // one per device
-    EXPECT_TRUE(artifact["summary"]["memorySubQuadratic"].asBool());
-    EXPECT_TRUE(artifact["summary"]["landmarksAdmissible"].asBool());
     std::string report;
     EXPECT_TRUE(cli::checkBenchCounters(artifact, artifact, &report))
         << report;
@@ -905,7 +948,7 @@ TEST(ExperimentRegistry, Fig12LargeGatesSparseMemoryAndCounters)
 
 TEST(CliTranspile, RoutesOnLargeSparseTopology)
 {
-    // End-to-end CLI on a 433-qubit sparse device: route a small QASM
+    // End-to-end CLI on a 433-qubit device: route a small QASM
     // circuit and check the reported topology block.
     std::string path = tempPath("ghz5.qasm");
     writeFile(path, "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[5];\n"

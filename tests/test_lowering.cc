@@ -22,8 +22,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "bench_circuits/generators.hh"
@@ -237,9 +239,41 @@ goldenPath(const std::string &name)
 }
 
 /**
- * Compare against the committed snapshot gate-for-gate (kinds and
- * operands exact, parameters to 1e-9 -- robust to last-ulp libm
- * differences across toolchains while still pinning the decomposition).
+ * Largest entry of |a - e^{i phi} P e Q|, minimised over Paulis P, Q and
+ * the global phase phi, for one-qubit unitaries a and e.
+ */
+double
+distanceUpToPauliFrame(const linalg::Mat2 &a, const linalg::Mat2 &e)
+{
+    const linalg::Mat2 paulis[] = {linalg::Mat2::identity(),
+                                   linalg::pauliX(), linalg::pauliY(),
+                                   linalg::pauliZ()};
+    double best = std::numeric_limits<double>::infinity();
+    for (const auto &p : paulis) {
+        for (const auto &q : paulis) {
+            const linalg::Mat2 framed = p * e * q;
+            const linalg::Complex overlap = (framed.dagger() * a).trace();
+            const linalg::Complex phase =
+                std::abs(overlap) > 0 ? overlap / std::abs(overlap) : 1.0;
+            double worst = 0;
+            for (size_t k = 0; k < a.a.size(); ++k)
+                worst = std::max(worst, std::abs(a.a[k] - phase * framed.a[k]));
+            best = std::min(best, worst);
+        }
+    }
+    return best;
+}
+
+/**
+ * Compare against the committed snapshot gate-for-gate: kinds and
+ * operands exact, two-qubit pulse parameters to 1e-9, each one-qubit
+ * gate's unitary to 1e-9 up to global phase and a Pauli on either
+ * side, and the whole circuit's unitary to twice the fit tolerance
+ * (the snapshot and this run each approximate the same input within
+ * it), which makes the Pauli frames cancel. The frame is allowed
+ * because a block's fit is not unique: the pulses commute with Pauli
+ * pairs, and an ASan/UBSan RelWithDebInfo build converges to another
+ * fit of one bv_n4 block whose 1Q gates differ by such Paulis.
  */
 void
 checkGolden(const std::string &name, const Circuit &input)
@@ -279,11 +313,21 @@ checkGolden(const std::string &name, const Circuit &input)
         const auto &e = expected.gates()[i];
         ASSERT_EQ(a.kind, e.kind) << "gate " << i;
         ASSERT_EQ(a.qubits, e.qubits) << "gate " << i;
+        if (a.isOneQubit()) {
+            ASSERT_LE(distanceUpToPauliFrame(a.matrix2(), e.matrix2()), 1e-9)
+                << "gate " << i;
+            continue;
+        }
         ASSERT_EQ(a.params.size(), e.params.size()) << "gate " << i;
         for (size_t p = 0; p < a.params.size(); ++p)
             ASSERT_NEAR(a.params[p], e.params[p], 1e-9)
                 << "gate " << i << " param " << p;
     }
+    const layout::Layout identity(actual.numQubits());
+    EXPECT_TRUE(testsupport::unitaryEquivalent(
+        expected, actual, identity, identity, actual.numQubits(),
+        2 * testsupport::loweringTolerance(stats.rootInfidelitySum)))
+        << "rootInfidelitySum " << stats.rootInfidelitySum;
 }
 
 } // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -72,7 +73,7 @@ TEST(Coupling, FlatDistanceTableIsConsistent)
           CouplingMap::ring(7)}) {
         const int n = cm.numQubits();
         for (int a = 0; a < n; ++a) {
-            const int *row = cm.distanceRow(a);
+            const int16_t *row = cm.distanceRow(a);
             EXPECT_EQ(row[a], 0);
             for (int b = 0; b < n; ++b) {
                 EXPECT_EQ(row[b], cm.distance(a, b));
@@ -137,6 +138,14 @@ TEST(Coupling, SpecSizesAreBoundedAndNeverWrap)
     }
     EXPECT_THROW(CouplingMap::parseSpec("auto", kMax + 1),
                  std::invalid_argument);
+    // "auto" refuses an oversized declared width before it searches for
+    // a grid side, so a width near INT_MAX cannot spin.
+    EXPECT_EQ(CouplingMap::concreteSpec("auto", kMax), "grid34x34");
+    for (int width : {kMax + 1, std::numeric_limits<int>::max()}) {
+        EXPECT_THROW(CouplingMap::concreteSpec("auto", width),
+                     std::invalid_argument)
+            << width;
+    }
     // Zero, signs and stray characters are not sizes.
     for (const char *spec : {"line0", "grid0x3", "line-4", "line+4",
                              "line4x", "gridx3", "grid3x", "alltoall"}) {
@@ -157,6 +166,20 @@ TEST(Coupling, CustomConstructorRejectsBadEdges)
     EXPECT_THROW(CouplingMap(3, E{{0, 1}, {1, 2}, {0, 1}}), TopologyError);
     // A clean edge list still builds.
     EXPECT_EQ(CouplingMap(3, E{{0, 1}, {1, 2}}).numQubits(), 3);
+}
+
+TEST(Coupling, ConstructorRejectsMoreThanTheSpecCap)
+{
+    // Every map carries a full n x n distance table, so the constructor
+    // itself caps n; a line one qubit past the cap is refused.
+    using E = std::vector<std::pair<int, int>>;
+    constexpr int kMax = CouplingMap::kMaxSpecQubits;
+    E line;
+    for (int q = 0; q < kMax; ++q)
+        line.emplace_back(q, q + 1);
+    EXPECT_THROW(CouplingMap(kMax + 1, line, "line-1122"), TopologyError);
+    line.pop_back();
+    EXPECT_EQ(CouplingMap(kMax, line).distance(0, kMax - 1), kMax - 1);
 }
 
 TEST(Coupling, DisconnectedComponentsAreTracked)
@@ -195,33 +218,16 @@ TEST(Coupling, ShortestPathThrowsAcrossComponents)
 
 TEST(Coupling, LargeHeavyHexRegistry)
 {
-    // IBM Osprey/Condor-scale instances; both over the dense threshold,
-    // so they build in sparse mode with no O(n^2) tables.
+    // IBM Osprey/Condor-scale instances.
     CouplingMap osprey = CouplingMap::heavyHex433();
     EXPECT_EQ(osprey.numQubits(), 433);
     EXPECT_TRUE(osprey.isConnected());
     EXPECT_LE(osprey.maxDegree(), 3);
-    EXPECT_TRUE(osprey.sparse());
 
     CouplingMap condor = CouplingMap::heavyHex1121();
     EXPECT_EQ(condor.numQubits(), 1121);
     EXPECT_TRUE(condor.isConnected());
     EXPECT_LE(condor.maxDegree(), 3);
-    EXPECT_TRUE(condor.sparse());
-
-    // Small maps stay dense; the threshold is the only mode switch.
-    EXPECT_FALSE(CouplingMap::heavyHex57().sparse());
-    EXPECT_TRUE(CouplingMap::grid(33, 33).sparse());
-}
-
-TEST(Coupling, SparseMemoryFootprintIsSubQuadratic)
-{
-    CouplingMap condor = CouplingMap::heavyHex1121();
-    const size_t n = size_t(condor.numQubits());
-    const size_t dense_equiv = n * n * (sizeof(int) + sizeof(uint8_t));
-    // CSR + components + landmarks: orders of magnitude below the flat
-    // tables (the per-thread row cache is bounded separately).
-    EXPECT_LT(condor.derivedTableBytes(), dense_equiv / 50);
 }
 
 TEST(Layout, SwapUpdatesBothMaps)
