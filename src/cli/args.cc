@@ -149,6 +149,22 @@ ArgumentParser::intOption(const std::string &name) const
     return int(parsed);
 }
 
+int
+ArgumentParser::intOption(const std::string &name, int min_value,
+                          int max_value) const
+{
+    const int v = intOption(name);
+    if (v < min_value || v > max_value)
+        throw UsageError(
+            "option '" + name + "' must be " +
+            (max_value == INT_MAX
+                 ? ">= " + std::to_string(min_value)
+                 : "in [" + std::to_string(min_value) + ", " +
+                       std::to_string(max_value) + "]") +
+            ", got " + std::to_string(v));
+    return v;
+}
+
 uint64_t
 ArgumentParser::u64Option(const std::string &name) const
 {

@@ -14,6 +14,7 @@
 #ifndef MIRAGE_CLI_ARGS_HH
 #define MIRAGE_CLI_ARGS_HH
 
+#include <climits>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -63,6 +64,9 @@ class ArgumentParser
     bool optionSeen(const std::string &name) const;
     /** option() parsed as an int; UsageError on garbage or overflow. */
     int intOption(const std::string &name) const;
+    /** intOption() that also must lie in [min_value, max_value]. */
+    int intOption(const std::string &name, int min_value,
+                  int max_value = INT_MAX) const;
     /**
      * option() parsed as uint64 (seeds, decimal or 0x hex); UsageError
      * on garbage, a leading '-', or overflow.

@@ -20,6 +20,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <utility>
 
 #include "cli/args.hh"
 #include "cli/experiments.hh"
@@ -86,6 +87,18 @@ readInput(const std::string &path)
     std::ostringstream buf;
     buf << in.rdbuf();
     return buf.str();
+}
+
+/** readInput() parsed as JSON; a parse error names path:line:col. */
+json::Value
+readJsonFile(const std::string &path)
+{
+    const std::string text = readInput(path);
+    try {
+        return json::parse(text);
+    } catch (const json::ParseError &e) {
+        throw CliError(path + ":" + e.what()); // what() is "line:col: ..."
+    }
 }
 
 void
@@ -167,9 +180,7 @@ cmdTranspile(const std::vector<std::string> &args, std::ostream &out,
         throw CliError(e.what());
     }
     mirage_pass::TranspileOptions &opts = req.options;
-    opts.threads = parser.intOption("--threads");
-    if (opts.threads < 0)
-        throw UsageError("--threads must be >= 0 (0 = all cores)");
+    opts.threads = parser.intOption("--threads", 0);
     if (req.deadlineMs > 0)
         opts.deadline = Deadline::afterMs(req.deadlineMs);
 
@@ -276,24 +287,15 @@ cmdSweep(const std::vector<std::string> &args, std::ostream &out,
     }
 
     SweepKnobs knobs;
-    auto knob = [&parser](const char *flag, int *slot) {
-        if (!parser.optionSeen(flag))
-            return;
-        int v = parser.intOption(flag);
-        if (v < 1)
-            throw UsageError(std::string("option '") + flag +
-                             "' must be >= 1");
-        *slot = v;
-    };
-    knob("--seeds", &knobs.seeds);
-    knob("--trials", &knobs.layoutTrials);
-    knob("--swap-trials", &knobs.swapTrials);
-    knob("--fwd-bwd", &knobs.fwdBwd);
-    knob("--mc-iters", &knobs.mcIterations);
-    knob("--limit", &knobs.suiteLimit);
-    knobs.threads = parser.intOption("--threads");
-    if (knobs.threads < 0)
-        throw UsageError("--threads must be >= 0 (0 = all cores)");
+    for (auto [flag, slot] : {std::pair{"--seeds", &knobs.seeds},
+                              {"--trials", &knobs.layoutTrials},
+                              {"--swap-trials", &knobs.swapTrials},
+                              {"--fwd-bwd", &knobs.fwdBwd},
+                              {"--mc-iters", &knobs.mcIterations},
+                              {"--limit", &knobs.suiteLimit}})
+        if (parser.optionSeen(flag))
+            *slot = parser.intOption(flag, 1);
+    knobs.threads = parser.intOption("--threads", 0);
     knobs.cacheDir = validateCacheDir(parser.option("--cache"));
     knobs.catalogPath = parser.option("--catalog");
 
@@ -376,19 +378,12 @@ cmdBench(const std::vector<std::string> &args, std::ostream &out,
         throw UsageError("bench takes no positional operands");
 
     SweepKnobs knobs;
-    auto knob = [&parser](const char *flag, int *slot, int min_value) {
-        if (!parser.optionSeen(flag))
-            return;
-        int v = parser.intOption(flag);
-        if (v < min_value)
-            throw UsageError(std::string("option '") + flag +
-                             "' must be >= " + std::to_string(min_value));
-        *slot = v;
-    };
-    knob("--trials", &knobs.layoutTrials, 1);
-    knob("--swap-trials", &knobs.swapTrials, 1);
-    knob("--fwd-bwd", &knobs.fwdBwd, 1);
-    knob("--limit", &knobs.suiteLimit, 1);
+    for (auto [flag, slot] : {std::pair{"--trials", &knobs.layoutTrials},
+                              {"--swap-trials", &knobs.swapTrials},
+                              {"--fwd-bwd", &knobs.fwdBwd},
+                              {"--limit", &knobs.suiteLimit}})
+        if (parser.optionSeen(flag))
+            *slot = parser.intOption(flag, 1);
 
     const std::string experimentName = parser.option("--experiment");
     if (experimentName != "bench" && experimentName != "fig12-large" &&
@@ -405,15 +400,8 @@ cmdBench(const std::vector<std::string> &args, std::ostream &out,
     // the new artifact against itself -- always passing.
     const std::string baselinePath = parser.option("--check");
     json::Value baseline;
-    if (!baselinePath.empty()) {
-        try {
-            baseline = json::parse(readInput(baselinePath));
-        } catch (const json::ParseError &e) {
-            err << "mirage: " << baselinePath << ":" << e.line() << ":"
-                << e.column() << ": " << e.what() << "\n";
-            return kExitFailure;
-        }
-    }
+    if (!baselinePath.empty())
+        baseline = readJsonFile(baselinePath);
 
     const Experiment *experiment = findExperiment(experimentName);
     MIRAGE_ASSERT(experiment, "bench experiment not registered");
@@ -468,15 +456,7 @@ cmdReport(const std::vector<std::string> &args, std::ostream &out,
 
     std::string rendered;
     for (const auto &path : parser.positionals()) {
-        const std::string text = readInput(path);
-        json::Value artifact;
-        try {
-            artifact = json::parse(text);
-        } catch (const json::ParseError &e) {
-            err << "mirage: " << path << ":" << e.line() << ":"
-                << e.column() << ": " << e.what() << "\n";
-            return kExitFailure;
-        }
+        const json::Value artifact = readJsonFile(path);
         std::string schemaError;
         if (!validateArtifact(artifact, &schemaError)) {
             err << "mirage: " << path << ": invalid artifact: "
@@ -521,9 +501,6 @@ cmdServe(const std::vector<std::string> &args, std::ostream &out,
                      "request (0 = all cores)");
     parser.addOption("--cache-entries", "N", "256",
                      "result memo capacity, in full transpile reports");
-    parser.addOption("--max-batch", "N", "32",
-                     "max compatible concurrent requests folded into "
-                     "one transpileMany call");
     parser.addOption("--cache", "DIR", "",
                      "equivalence-library persistence directory "
                      "(loaded on first use, saved on shutdown)");
@@ -564,30 +541,14 @@ cmdServe(const std::vector<std::string> &args, std::ostream &out,
                          "--socket <path> or --stdio");
 
     serve::EngineOptions eopts;
-    eopts.threads = parser.intOption("--threads");
-    if (eopts.threads < 0)
-        throw UsageError("--threads must be >= 0 (0 = all cores)");
-    const int entries = parser.intOption("--cache-entries");
-    if (entries < 1)
-        throw UsageError("--cache-entries must be >= 1");
-    eopts.cacheEntries = size_t(entries);
-    eopts.maxBatch = parser.intOption("--max-batch");
-    if (eopts.maxBatch < 1)
-        throw UsageError("--max-batch must be >= 1");
+    eopts.threads = parser.intOption("--threads", 0);
+    eopts.cacheEntries = size_t(parser.intOption("--cache-entries", 1));
     eopts.cacheDir = validateCacheDir(parser.option("--cache"));
     eopts.catalogPath = parser.option("--catalog");
-    eopts.maxQueue = parser.intOption("--max-queue");
-    if (eopts.maxQueue < 0)
-        throw UsageError("--max-queue must be >= 0 (0 = unbounded)");
-    const int deadlineMs = parser.intOption("--deadline-ms");
-    if (deadlineMs < 0)
-        throw UsageError("--deadline-ms must be >= 0 (0 = none)");
-    eopts.deadlineMs = deadlineMs;
-    eopts.maxQubits = parser.intOption("--max-qubits");
-    eopts.maxGates = parser.intOption("--max-gates");
-    if (eopts.maxQubits < 0 || eopts.maxGates < 0)
-        throw UsageError("--max-qubits/--max-gates must be >= 0 "
-                         "(0 = no cap)");
+    eopts.maxQueue = parser.intOption("--max-queue", 0);
+    eopts.deadlineMs = parser.intOption("--deadline-ms", 0);
+    eopts.maxQubits = parser.intOption("--max-qubits", 0);
+    eopts.maxGates = parser.intOption("--max-gates", 0);
 
     const std::string faultSpec = parser.option("--faults");
     if (!faultSpec.empty()) {
@@ -720,13 +681,9 @@ cmdServeBench(const std::vector<std::string> &args, std::ostream &out,
                              "exclusive (chaos gates on its own pass "
                              "flag)");
         serve::ChaosOptions copts;
-        copts.requests = parser.intOption("--chaos-requests");
-        if (copts.requests < 1)
-            throw UsageError("--chaos-requests must be >= 1");
+        copts.requests = parser.intOption("--chaos-requests", 1);
         copts.seed = parser.u64Option("--seed");
-        copts.engineThreads = parser.intOption("--threads");
-        if (copts.engineThreads < 0)
-            throw UsageError("--threads must be >= 0 (0 = all cores)");
+        copts.engineThreads = parser.intOption("--threads", 0);
         copts.faultSpec = parser.option("--faults");
         copts.socketPath = parser.option("--socket");
         copts.workDir = parser.option("--chaos-dir");
@@ -758,34 +715,17 @@ cmdServeBench(const std::vector<std::string> &args, std::ostream &out,
     }
 
     serve::TrafficOptions topts;
-    auto positive = [&parser](const char *flag, int *slot) {
-        int v = parser.intOption(flag);
-        if (v < 1)
-            throw UsageError(std::string("option '") + flag +
-                             "' must be >= 1");
-        *slot = v;
-    };
-    positive("--clients", &topts.clients);
-    positive("--requests", &topts.requestsPerClient);
-    positive("--distinct", &topts.distinct);
-    positive("--trials", &topts.trials);
-    positive("--swap-trials", &topts.swapTrials);
-    topts.width = parser.intOption("--width");
-    if (topts.width < 2)
-        throw UsageError("--width must be >= 2 (entangling gates need "
-                         "two qubits)");
-    topts.twoQubitGates = parser.intOption("--gates");
-    if (topts.twoQubitGates < 1)
-        throw UsageError("--gates must be >= 1");
-    topts.fwdBwd = parser.intOption("--fwd-bwd");
-    if (topts.fwdBwd < 0)
-        throw UsageError("--fwd-bwd must be >= 0");
-    topts.aggression = parser.intOption("--aggression");
-    if (topts.aggression < -1 || topts.aggression > 3)
-        throw UsageError("--aggression must be in [-1, 3] (-1 = mixed)");
-    topts.engineThreads = parser.intOption("--threads");
-    if (topts.engineThreads < 0)
-        throw UsageError("--threads must be >= 0 (0 = all cores)");
+    topts.clients = parser.intOption("--clients", 1);
+    topts.requestsPerClient = parser.intOption("--requests", 1);
+    topts.distinct = parser.intOption("--distinct", 1);
+    topts.trials = parser.intOption("--trials", 1);
+    topts.swapTrials = parser.intOption("--swap-trials", 1);
+    // Entangling gates need two qubits.
+    topts.width = parser.intOption("--width", 2);
+    topts.twoQubitGates = parser.intOption("--gates", 1);
+    topts.fwdBwd = parser.intOption("--fwd-bwd", 0);
+    topts.aggression = parser.intOption("--aggression", -1, 3);
+    topts.engineThreads = parser.intOption("--threads", 0);
     topts.seed = parser.u64Option("--seed");
     topts.topology = parser.option("--topology");
     topts.lower = parser.flag("--lower");
@@ -797,15 +737,8 @@ cmdServeBench(const std::vector<std::string> &args, std::ostream &out,
     // against itself -- always passing.
     const std::string baselinePath = parser.option("--check");
     json::Value baseline;
-    if (!baselinePath.empty()) {
-        try {
-            baseline = json::parse(readInput(baselinePath));
-        } catch (const json::ParseError &e) {
-            err << "mirage: " << baselinePath << ":" << e.line() << ":"
-                << e.column() << ": " << e.what() << "\n";
-            return kExitFailure;
-        }
-    }
+    if (!baselinePath.empty())
+        baseline = readJsonFile(baselinePath);
 
     json::Value artifact;
     try {
@@ -868,9 +801,7 @@ cmdCatalog(const std::vector<std::string> &args, std::ostream &out,
                          "check, or stats; see 'mirage catalog --help'");
     const std::string action = parser.positionals()[0];
     const std::string path = parser.option("--path");
-    const int threads = parser.intOption("--threads");
-    if (threads < 0)
-        throw UsageError("--threads must be >= 0 (0 = all cores)");
+    const int threads = parser.intOption("--threads", 0);
 
     using Status = decomp::EquivalenceLibrary::CacheLoadStatus;
 

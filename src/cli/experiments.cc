@@ -57,6 +57,14 @@ resolve(const SweepKnobs &k, int seeds, int trials, int swapTrials,
     return r;
 }
 
+/** How many of `available` suite entries a run covers (--limit). */
+size_t
+limitedCount(const SweepKnobs &k, size_t available)
+{
+    return k.suiteLimit >= 0 ? std::min(size_t(k.suiteLimit), available)
+                             : available;
+}
+
 json::Value
 parametersJson(const ResolvedKnobs &k, bool withMc = false)
 {
@@ -879,9 +887,7 @@ runTable3(const SweepKnobs &userKnobs)
     const auto grid = topology::CouplingMap::grid(8, 8);
 
     const auto &suite = bench::paperBenchmarks();
-    size_t limit = userKnobs.suiteLimit >= 0
-                       ? std::min(size_t(userKnobs.suiteLimit), suite.size())
-                       : suite.size();
+    const size_t limit = limitedCount(userKnobs, suite.size());
     std::vector<circuit::Circuit> circuits;
     for (size_t i = 0; i < limit; ++i)
         circuits.push_back(suite[i].make());
@@ -983,9 +989,7 @@ runBenchLowering(const SweepKnobs &userKnobs)
     const auto grid = topology::CouplingMap::grid(8, 8);
 
     const auto &suite = bench::paperBenchmarks();
-    size_t limit = userKnobs.suiteLimit >= 0
-                       ? std::min(size_t(userKnobs.suiteLimit), suite.size())
-                       : suite.size();
+    const size_t limit = limitedCount(userKnobs, suite.size());
     std::vector<circuit::Circuit> circuits;
     for (size_t i = 0; i < limit; ++i)
         circuits.push_back(suite[i].make());
@@ -1089,10 +1093,7 @@ runBenchRouting(const SweepKnobs &userKnobs)
     ResolvedKnobs knobs = resolve(userKnobs, 1, 8, 2, 2);
     const auto grid = topology::CouplingMap::grid(8, 8);
     const auto &suite = bench::paperBenchmarks();
-    const size_t limit =
-        userKnobs.suiteLimit >= 0
-            ? std::min(size_t(userKnobs.suiteLimit), suite.size())
-            : suite.size();
+    const size_t limit = limitedCount(userKnobs, suite.size());
 
     json::Value rows = json::Value::array();
     bool identical = true;
@@ -1194,10 +1195,7 @@ runFig12Large(const SweepKnobs &userKnobs)
     // ms-per-gate across rows tracks route-time scaling in gate count.
     const std::vector<std::string> circuits = {
         "wstate_n27", "knn_n25", "multiplier_n15", "qft_n18"};
-    const size_t limit =
-        userKnobs.suiteLimit >= 0
-            ? std::min(size_t(userKnobs.suiteLimit), circuits.size())
-            : circuits.size();
+    const size_t limit = limitedCount(userKnobs, circuits.size());
 
     json::Value rows = json::Value::array();
     json::Value topo_summaries = json::Value::array();
@@ -1328,9 +1326,7 @@ runMirrorFamily(const SweepKnobs &userKnobs, bool qv)
     const auto topo = topology::CouplingMap::heavyHex57();
     std::vector<int> widths =
         qv ? std::vector<int>{8, 10, 12} : std::vector<int>{8, 10, 14};
-    if (userKnobs.suiteLimit >= 0 &&
-        size_t(userKnobs.suiteLimit) < widths.size())
-        widths.resize(size_t(userKnobs.suiteLimit));
+    widths.resize(limitedCount(userKnobs, widths.size()));
 
     decomp::CatalogLoad catalog;
     auto lib = decomp::loadLibrary(2, knobs.catalog, knobs.cacheDir, &catalog);
@@ -1450,9 +1446,7 @@ runMatrix(const SweepKnobs &userKnobs)
     suite.push_back({qv.circuit.name(), 10, qv.circuit, qv.bitstring});
     for (const auto &b : bench::paperBenchmarks())
         suite.push_back({b.name, b.qubits, b.make(), {}});
-    if (userKnobs.suiteLimit >= 0 &&
-        size_t(userKnobs.suiteLimit) < suite.size())
-        suite.resize(size_t(userKnobs.suiteLimit));
+    suite.resize(limitedCount(userKnobs, suite.size()));
 
     const std::vector<topology::CouplingMap> topologies = {
         topology::CouplingMap::grid(6, 6),

@@ -1,11 +1,12 @@
 /**
  * @file
  * Serve engine + transports. The dispatcher thread is the only caller
- * of transpileMany(); connection threads park on futures, so the
- * routing trial grid (which fans out on the shared pool) never runs
- * concurrently with itself and result ordering is irrelevant --
- * responses are keyed by request id, and every result is bit-identical
- * to a one-shot transpile by the trial engine's determinism guarantee.
+ * of transpile(), one job at a time; connection threads park on
+ * futures, so the routing trial grid (which fans out on the shared
+ * pool) never runs concurrently with itself and result ordering is
+ * irrelevant -- responses are keyed by request id, and every result is
+ * bit-identical to a one-shot transpile by the trial engine's
+ * determinism guarantee.
  */
 
 #include "serve/server.hh"
@@ -33,9 +34,6 @@ Engine::Engine(EngineOptions opts)
     : opts_(std::move(opts)), pool_(opts_.threads),
       cache_(opts_.cacheEntries == 0 ? 1 : opts_.cacheEntries)
 {
-    if (opts_.maxBatch < 1)
-        opts_.maxBatch = 1;
-
     // Warm the root-2 library from the committed fit catalog before
     // serving, so the first --lower request fits nothing. A failed load
     // is recorded (unreadable vs malformed) and libraryFor() later
@@ -205,107 +203,41 @@ void
 Engine::dispatcherLoop()
 {
     for (;;) {
-        std::vector<std::unique_ptr<Job>> group;
+        std::unique_ptr<Job> job;
         {
             std::unique_lock<std::mutex> lock(queueMutex_);
             queueReady_.wait(lock, [this] {
                 return stopping_ || !queue_.empty();
             });
-            if (queue_.empty()) {
-                if (stopping_)
-                    return;
-                continue;
-            }
-            // Take the oldest job, then fold in every queued job with
-            // the same (topology, options) group key -- those are
-            // exactly the requests transpileMany can share a batch
-            // with. Requests that piled up while the previous batch
-            // ran coalesce here without any artificial batching delay.
-            group.push_back(std::move(queue_.front()));
+            if (queue_.empty())
+                return; // stopping_ and drained
+            job = std::move(queue_.front());
             queue_.pop_front();
-            const std::string &gk = group.front()->groupKey;
-            for (auto it = queue_.begin();
-                 it != queue_.end() && int(group.size()) < opts_.maxBatch;) {
-                if ((*it)->groupKey == gk) {
-                    group.push_back(std::move(*it));
-                    it = queue_.erase(it);
-                } else {
-                    ++it;
-                }
-            }
         }
 
-        mirage_pass::TranspileOptions opts = group.front()->options;
-        opts.pool = &pool_;
-        const auto batch_start = std::chrono::steady_clock::now();
+        JobOutcome out;
+        const auto start = std::chrono::steady_clock::now();
         try {
+            mirage_pass::TranspileOptions opts = job->options;
+            opts.pool = &pool_;
             if (opts.lowerToBasis)
                 opts.equivalenceLibrary = libraryFor(opts.rootDegree);
-            std::vector<circuit::Circuit> circuits;
-            circuits.reserve(group.size());
-            for (const auto &job : group)
-                circuits.push_back(job->circuit);
-            auto results = mirage_pass::transpileMany(
-                circuits, *group.front()->topology, opts);
-            const double batch_ms =
-                std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - batch_start)
-                    .count();
-            // Count BEFORE fulfilling the promises: once a waiter's
-            // response is visible, a stats snapshot must already
-            // include its transpile (the bench gate relies on this).
-            {
-                std::lock_guard<std::mutex> lock(countersMutex_);
-                counters_.transpiles += group.size();
-                counters_.batches += 1;
-                counters_.batchedRequests += group.size();
-                counters_.maxBatchSize = std::max(counters_.maxBatchSize,
-                                                  uint64_t(group.size()));
-                // Rough per-job cost estimate feeding retryAfterMs.
-                avgJobMs_ = 0.8 * avgJobMs_ +
-                            0.2 * (batch_ms / double(group.size()));
-            }
-            for (size_t i = 0; i < group.size(); ++i) {
-                JobOutcome out;
-                out.result = std::move(results[i]);
-                group[i]->promise.set_value(std::move(out));
-            }
+            out.result = mirage_pass::transpile(job->circuit, *job->topology,
+                                                opts);
+            const double job_ms = std::chrono::duration<double, std::milli>(
+                                      std::chrono::steady_clock::now() - start)
+                                      .count();
+            // Count BEFORE fulfilling the promise: once a waiter's
+            // response is visible, a stats snapshot must already include
+            // its transpile (the bench gate relies on this).
+            std::lock_guard<std::mutex> lock(countersMutex_);
+            ++counters_.transpiles;
+            // Rough per-job cost estimate feeding retryAfterMs.
+            avgJobMs_ = 0.8 * avgJobMs_ + 0.2 * job_ms;
         } catch (...) {
-            if (group.size() == 1) {
-                JobOutcome out;
-                out.error = RelayedError::capture();
-                group.front()->promise.set_value(std::move(out));
-                continue;
-            }
-            // Fault isolation: a batch dies as a unit (transpileMany
-            // rethrows the first failure), but only one member may be
-            // poisoned -- an injected fit fault, say. Rerun each job
-            // solo so its batch mates still get their results.
-            for (auto &job : group) {
-                try {
-                    mirage_pass::TranspileOptions jopts = job->options;
-                    jopts.pool = &pool_;
-                    if (jopts.lowerToBasis)
-                        jopts.equivalenceLibrary =
-                            libraryFor(jopts.rootDegree);
-                    std::vector<circuit::Circuit> one;
-                    one.push_back(job->circuit);
-                    auto res = mirage_pass::transpileMany(
-                        one, *job->topology, jopts);
-                    {
-                        std::lock_guard<std::mutex> lock(countersMutex_);
-                        counters_.transpiles += 1;
-                    }
-                    JobOutcome out;
-                    out.result = std::move(res.front());
-                    job->promise.set_value(std::move(out));
-                } catch (...) {
-                    JobOutcome out;
-                    out.error = RelayedError::capture();
-                    job->promise.set_value(std::move(out));
-                }
-            }
+            out.error = RelayedError::capture();
         }
+        job->promise.set_value(std::move(out));
     }
 }
 
@@ -379,13 +311,11 @@ Engine::handleTranspile(const json::Value &doc, const json::Value &id)
         return v;
     };
 
-    // A deadlined miss computes SOLO: it neither registers in pending_
-    // (a coalesced waiter without a deadline must not inherit this
-    // request's "deadline" failure) nor joins a dispatcher batch (the
-    // batch runs under one options struct, and one expiring member must
-    // not abort its mates). Completed results still land in the memo --
-    // a deadline never changes result content, only whether there is
-    // one.
+    // A deadlined miss computes SOLO: it does not register in pending_,
+    // so a coalesced waiter without a deadline never inherits this
+    // request's "deadline" failure. Completed results still land in the
+    // memo -- a deadline never changes result content, only whether
+    // there is one.
     const bool solo = deadline.active();
     std::shared_ptr<Inflight> inflight;
     bool owner = false;
@@ -430,10 +360,6 @@ Engine::handleTranspile(const json::Value &doc, const json::Value &id)
     job->topology = topo;
     job->options = req.options;
     job->options.deadline = deadline;
-    job->groupKey = resultCacheKey(0, topo->name(), req.options, "");
-    if (solo)
-        job->groupKey +=
-            "|solo=" + std::to_string(soloSeq_.fetch_add(1));
 
     mirage_pass::TranspileResult result;
     try {
@@ -484,9 +410,6 @@ Engine::statsResponse(const json::Value &id) const
     cj.set("cacheHits", c.cacheHits);
     cj.set("cacheMisses", c.cacheMisses);
     cj.set("coalesced", c.coalesced);
-    cj.set("batches", c.batches);
-    cj.set("batchedRequests", c.batchedRequests);
-    cj.set("maxBatchSize", c.maxBatchSize);
     cj.set("errors", c.errors);
     cj.set("shed", c.shed);
     cj.set("deadlines", c.deadlines);

@@ -7,10 +7,10 @@
  * topology cache, and a thread-safe LRU memo of full transpile results
  * keyed by (circuit fingerprint, topology, options, format). handle()
  * is safe to call from any number of connection threads concurrently;
- * misses are funneled through a single dispatcher that batches
- * compatible concurrent requests into one transpileMany() call, and
- * identical in-flight requests are coalesced (single-flight) so a
- * thundering herd computes each result once.
+ * misses are funneled through a single dispatcher that runs one
+ * transpile() per queued job, oldest first, and identical in-flight
+ * requests are coalesced (single-flight) so a thundering herd computes
+ * each result once.
  *
  * Transports: SocketServer accepts newline-delimited JSON over a Unix
  * domain socket (one thread per connection); serveStdio() runs the same
@@ -58,8 +58,6 @@ struct EngineOptions
     int threads = 0;
     /** Result memo capacity, in full transpile reports. */
     size_t cacheEntries = 256;
-    /** Max compatible requests folded into one transpileMany call. */
-    int maxBatch = 32;
     /**
      * Equivalence-library persistence directory: each root's library is
      * loaded on first use and saved on engine shutdown, so a restarted
@@ -96,10 +94,10 @@ struct EngineOptions
 };
 
 /**
- * Monotonic service counters. Everything except `coalesced`,
- * `batches`, and `maxBatchSize` is deterministic for a deterministic
- * request sequence (coalescing/batch composition depend on arrival
- * timing; the rest do not).
+ * Monotonic service counters. Everything except `coalesced` and
+ * `cacheHits` is deterministic for a deterministic request sequence: a
+ * duplicate of an in-flight miss counts as coalesced, or as a cache
+ * hit once that miss has finished, depending on arrival timing.
  */
 struct EngineCounters
 {
@@ -108,9 +106,6 @@ struct EngineCounters
     uint64_t cacheHits = 0;       ///< memo hits
     uint64_t cacheMisses = 0;     ///< memo misses (owner of the compute)
     uint64_t coalesced = 0;       ///< waited on an identical in-flight miss
-    uint64_t batches = 0;         ///< transpileMany groups dispatched
-    uint64_t batchedRequests = 0; ///< total circuits across all groups
-    uint64_t maxBatchSize = 0;    ///< largest group so far
     uint64_t errors = 0;          ///< error responses produced
     uint64_t shed = 0;            ///< requests rejected "overloaded"
     uint64_t deadlines = 0;       ///< requests that died of "deadline"
@@ -229,8 +224,6 @@ class Engine
         circuit::Circuit circuit;
         std::shared_ptr<const topology::CouplingMap> topology;
         mirage_pass::TranspileOptions options;
-        /** Requests sharing this key are transpileMany-compatible. */
-        std::string groupKey;
         std::promise<JobOutcome> promise;
     };
 
@@ -277,8 +270,6 @@ class Engine
     /** EWMA of per-job compute time, feeding retryAfterMs estimates.
      * Guarded by countersMutex_. */
     double avgJobMs_ = 50.0;
-    /** Uniquifier keeping deadlined jobs out of shared batches. */
-    std::atomic<uint64_t> soloSeq_{0};
 
     std::thread dispatcher_;
 };

@@ -74,15 +74,21 @@ syntheticQasm(int index, int width, int two_qubit_gates, uint64_t seed)
 
 namespace {
 
-/** The transpile request line for circuit #index of the workload. */
+/**
+ * The transpile request line for circuit `name` (serve-bench and chaos
+ * share it). `Options` is TrafficOptions or ChaosOptions; deadlineMs is
+ * sent only when positive.
+ */
+template <class Options>
 std::string
-requestLine(const TrafficOptions &o, int index, const std::string &qasm,
-            int request_id)
+requestLine(const Options &o, const std::string &name,
+            const std::string &qasm, int request_id, bool lower,
+            double deadline_ms = 0.0)
 {
     json::Value req = json::Value::object();
     req.set("id", request_id);
     req.set("op", "transpile");
-    req.set("name", "traffic" + std::to_string(index));
+    req.set("name", name);
     req.set("qasm", qasm);
     json::Value opts = json::Value::object();
     opts.set("topology", o.topology);
@@ -91,7 +97,9 @@ requestLine(const TrafficOptions &o, int index, const std::string &qasm,
     opts.set("fwdBwd", o.fwdBwd);
     opts.set("seed", o.seed);
     opts.set("aggression", o.aggression);
-    opts.set("lower", o.lower);
+    opts.set("lower", lower);
+    if (deadline_ms > 0)
+        opts.set("deadlineMs", deadline_ms);
     req.set("options", std::move(opts));
     return req.dump(0);
 }
@@ -153,7 +161,8 @@ runTraffic(const TrafficOptions &o, std::ostream &log)
     const auto warmupStart = Clock::now();
     for (int k = 0; k < o.distinct; ++k) {
         const std::string response =
-            warmCall(requestLine(o, k, qasm[size_t(k)], k));
+            warmCall(requestLine(o, "traffic" + std::to_string(k),
+                                 qasm[size_t(k)], k, o.lower));
         json::Value doc = json::parse(response);
         if (!doc["ok"].asBool()) {
             ++warmupErrors;
@@ -189,8 +198,9 @@ runTraffic(const TrafficOptions &o, std::ostream &log)
             bool identical = true;
             for (int j = 0; j < o.requestsPerClient; ++j) {
                 const int k = (i + j) % o.distinct;
-                const std::string line = requestLine(
-                    o, k, qasm[size_t(k)], 1000 + i * 1000 + j);
+                const std::string line =
+                    requestLine(o, "traffic" + std::to_string(k),
+                                qasm[size_t(k)], 1000 + i * 1000 + j, o.lower);
                 const auto t0 = Clock::now();
                 const std::string response = call(line);
                 local.push_back(msSince(t0));
@@ -266,8 +276,8 @@ runTraffic(const TrafficOptions &o, std::ostream &log)
     }
     {
         // Engine-side view: transpiles is exact for a fresh server
-        // (= distinct circuits); coalesced/batches depend on arrival
-        // timing, so they live here, uncompared.
+        // (= distinct circuits); coalesced depends on arrival timing,
+        // so these live here, uncompared.
         json::Value s = json::Value::object();
         if (const json::Value *counters = stats.find("counters")) {
             for (const auto &[key, value] : counters->members())
@@ -301,30 +311,6 @@ const char *const kDefaultChaosFaults =
     "serve.accept=1/5,serve.read=1/11,serve.write=1/13,queue.admit=1/7";
 
 namespace {
-
-/** The transpile request line for chaos request #request_id. */
-std::string
-chaosRequestLine(const ChaosOptions &o, int index, const std::string &qasm,
-                 int request_id, bool lower, double deadline_ms)
-{
-    json::Value req = json::Value::object();
-    req.set("id", request_id);
-    req.set("op", "transpile");
-    req.set("name", "chaos" + std::to_string(index));
-    req.set("qasm", qasm);
-    json::Value opts = json::Value::object();
-    opts.set("topology", o.topology);
-    opts.set("trials", o.trials);
-    opts.set("swapTrials", o.swapTrials);
-    opts.set("fwdBwd", o.fwdBwd);
-    opts.set("seed", o.seed);
-    opts.set("aggression", o.aggression);
-    opts.set("lower", lower);
-    if (deadline_ms > 0)
-        opts.set("deadlineMs", deadline_ms);
-    req.set("options", std::move(opts));
-    return req.dump(0);
-}
 
 /**
  * SocketClient that treats a dropped connection (injected serve.read/
@@ -399,8 +385,9 @@ runChaos(const ChaosOptions &o, std::ostream &log)
         ropts.catalogPath = "none";
         Engine ref(ropts);
         for (int k = 0; k < o.distinct; ++k) {
-            json::Value doc = json::parse(ref.handle(chaosRequestLine(
-                o, k, qasm[size_t(k)], k, false, 0.0)));
+            json::Value doc = json::parse(ref.handle(
+                requestLine(o, "chaos" + std::to_string(k), qasm[size_t(k)],
+                            k, false)));
             if (!doc["ok"].asBool())
                 throw ServeError(
                     "chaos: fault-free reference request failed: " +
@@ -475,8 +462,8 @@ runChaos(const ChaosOptions &o, std::ostream &log)
             i % o.deadlineEvery == o.deadlineEvery - 1;
         loweredRequests += lower ? 1 : 0;
         deadlineRequests += withDeadline ? 1 : 0;
-        json::Value doc = json::parse(client.call(chaosRequestLine(
-            o, k, qasm[size_t(k)], i, lower,
+        json::Value doc = json::parse(client.call(requestLine(
+            o, "chaos" + std::to_string(k), qasm[size_t(k)], i, lower,
             withDeadline ? o.deadlineMs : 0.0)));
         if (doc["ok"].asBool()) {
             ++okCount;

@@ -29,6 +29,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "cli/cli.hh"
 #include "common/fault.hh"
@@ -229,6 +230,66 @@ TEST_F(ChaosTest, TranspileCliHonorsDeadlineFlag)
     EXPECT_EQ(cli::run({"transpile", path, "--deadline-ms", "-5"}, out2,
                        err2),
               cli::kExitUsage);
+}
+
+// --- fault isolation --------------------------------------------------------
+
+TEST_F(ChaosTest, OneFailedFitFailsOnlyItsOwnRequest)
+{
+    // K distinct lowering misses arrive together; the first numerical
+    // fit anywhere throws. The dispatcher runs one transpile per job,
+    // so exactly the job that owned that fit fails, and every other
+    // job returns the bytes a fault-free engine returns -- whatever
+    // order the requests reached the queue in.
+    constexpr int kRequests = 4;
+    const std::string options = "{\"trials\":2,\"swapTrials\":1,"
+                                "\"fwdBwd\":1,\"lower\":true}";
+    std::vector<std::string> lines;
+    for (int k = 0; k < kRequests; ++k)
+        lines.push_back(
+            requestLine(k, serve::syntheticQasm(k, 3, 4, 11), options));
+
+    serve::EngineOptions eopts;
+    eopts.catalogPath = "none"; // no warm fits: every block is fitted
+    std::vector<std::string> reference;
+    {
+        serve::Engine clean(eopts);
+        for (const auto &line : lines) {
+            json::Value doc = handleParsed(clean, line);
+            ASSERT_TRUE(doc["ok"].asBool()) << doc.dump(0);
+            reference.push_back(doc["report"].dump(0));
+        }
+    }
+
+    fault::arm("seed=1,fit.converge=#1");
+    serve::Engine engine(eopts);
+    std::vector<json::Value> responses(kRequests);
+    std::vector<std::thread> clients;
+    for (int k = 0; k < kRequests; ++k)
+        clients.emplace_back([&, k] {
+            responses[size_t(k)] = handleParsed(engine, lines[size_t(k)]);
+        });
+    for (auto &t : clients)
+        t.join();
+
+    int faults = 0;
+    for (int k = 0; k < kRequests; ++k) {
+        const json::Value &doc = responses[size_t(k)];
+        if (!doc["ok"].asBool()) {
+            EXPECT_EQ(doc["error"]["code"].asString(), "fault")
+                << doc.dump(0);
+            ++faults;
+            // The fault was one-shot: a retry computes the same bytes.
+            json::Value retry = handleParsed(engine, lines[size_t(k)]);
+            ASSERT_TRUE(retry["ok"].asBool()) << retry.dump(0);
+            EXPECT_EQ(retry["report"].dump(0), reference[size_t(k)]);
+            continue;
+        }
+        EXPECT_EQ(doc["report"].dump(0), reference[size_t(k)])
+            << "request " << k;
+    }
+    EXPECT_EQ(faults, 1);
+    EXPECT_EQ(fault::injectedCount(), 1u);
 }
 
 // --- admission control ------------------------------------------------------

@@ -489,9 +489,13 @@ TEST(CliServe, TransportAndNumericFlagValidation)
     EXPECT_EQ(badEntries.code, cli::kExitUsage);
     EXPECT_NE(badEntries.err.find("--cache-entries"), std::string::npos);
 
-    auto badBatch = runCli({"serve", "--stdio", "--max-batch", "0"});
-    EXPECT_EQ(badBatch.code, cli::kExitUsage);
-    EXPECT_NE(badBatch.err.find("--max-batch"), std::string::npos);
+    // The dispatcher runs one transpile per job; there is no batch
+    // size left to configure.
+    auto noBatch = runCli({"serve", "--stdio", "--max-batch", "0"});
+    EXPECT_EQ(noBatch.code, cli::kExitUsage);
+    EXPECT_NE(noBatch.err.find("unknown option '--max-batch'"),
+              std::string::npos)
+        << noBatch.err;
 }
 
 TEST(CliServeBench, NumericFlagValidation)
@@ -816,6 +820,19 @@ TEST(CliReport, RejectsMalformedJsonWithPosition)
     auto r = runCli({"report", path});
     EXPECT_EQ(r.code, cli::kExitFailure);
     EXPECT_NE(r.err.find(path + ":2:"), std::string::npos) << r.err;
+
+    // The bench baselines go through the same reader, before any work
+    // runs, and every reader names the position exactly once.
+    for (const std::vector<std::string> &args :
+         {std::vector<std::string>{"report", path},
+          {"bench", "--check", path},
+          {"serve-bench", "--check", path}}) {
+        auto c = runCli(args);
+        EXPECT_EQ(c.code, cli::kExitFailure) << args[0];
+        EXPECT_EQ(c.err.rfind("mirage: " + path + ":2:3: ", 0), 0u)
+            << c.err;
+        EXPECT_EQ(c.err.find("2:3: 2:3:"), std::string::npos) << c.err;
+    }
 }
 
 TEST(CliReport, RejectsSchemaVersionDrift)

@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -60,6 +59,37 @@ json::Value
 handleParsed(serve::Engine &engine, const std::string &line)
 {
     return json::parse(engine.handle(line));
+}
+
+/**
+ * `mirage transpile` of `qasm` with requestLine's default options
+ * (trials=2, swapTrials=1): the one-shot ground truth a served report
+ * must equal byte for byte.
+ */
+json::Value
+oneShotReport(const std::string &qasm, const std::string &name)
+{
+    const std::string path = testing::TempDir() + name + ".qasm";
+    {
+        std::ofstream f(path);
+        f << qasm;
+    }
+    std::ostringstream out, err;
+    const int code = cli::run(
+        {"transpile", path, "--trials", "2", "--swap-trials", "1"}, out,
+        err);
+    EXPECT_EQ(code, 0) << err.str();
+    return json::parse(out.str());
+}
+
+/** A served report relabelled with the one-shot's input file. */
+std::string
+asOneShot(json::Value report, const json::Value &oneShot)
+{
+    json::Value in = report["input"];
+    in.set("file", oneShot["input"]["file"]);
+    report.set("input", std::move(in));
+    return report.dump(2);
 }
 
 std::string
@@ -341,20 +371,8 @@ TEST(ServeEngine, StdioTransportStopsAfterShutdownRequest)
 
 TEST(ServeEngine, ConcurrentClientsAreBitIdenticalToOneShotTranspile)
 {
-    // One-shot ground truth through the real CLI path (same default
-    // options as requestLine: trials=2, swapTrials=1).
-    const std::string qasmPath = testing::TempDir() + "serve_ident.qasm";
-    {
-        std::ofstream f(qasmPath);
-        ASSERT_TRUE(f.is_open());
-        f << kQasm;
-    }
-    std::ostringstream cliOut, cliErr;
-    int code = cli::run({"transpile", qasmPath, "--trials", "2",
-                         "--swap-trials", "1"},
-                        cliOut, cliErr);
-    ASSERT_EQ(code, 0) << cliErr.str();
-    json::Value oneShot = json::parse(cliOut.str());
+    // One-shot ground truth through the real CLI path.
+    const json::Value oneShot = oneShotReport(kQasm, "serve_ident");
 
     serve::Engine engine;
     constexpr int kClients = 8;
@@ -373,13 +391,10 @@ TEST(ServeEngine, ConcurrentClientsAreBitIdenticalToOneShotTranspile)
         json::Value resp = json::parse(responses[i]);
         ASSERT_TRUE(resp["ok"].asBool()) << responses[i];
         ++okCount;
-        json::Value report = resp["report"];
         // The serve report labels the input "<request>"; align it with
         // the one-shot's file label, then demand byte equality.
-        json::Value in = report["input"];
-        in.set("file", qasmPath);
-        report.set("input", std::move(in));
-        EXPECT_EQ(report.dump(2), oneShot.dump(2)) << "client " << i;
+        EXPECT_EQ(asOneShot(resp["report"], oneShot), oneShot.dump(2))
+            << "client " << i;
     }
     EXPECT_EQ(okCount, kClients);
 
@@ -434,18 +449,30 @@ TEST(ServeEngine, MixedConcurrentRequestsEachComputeOnce)
         bodies.push_back(qasm);
     }
     std::vector<std::thread> clients;
-    std::atomic<int> failures{0};
+    std::vector<std::string> responses(kDistinct * kRepeats);
     for (int r = 0; r < kRepeats; ++r)
         for (int d = 0; d < kDistinct; ++d)
-            clients.emplace_back([&engine, &bodies, &failures, r, d] {
-                json::Value resp = json::parse(engine.handle(
-                    requestLine(r * kDistinct + d, bodies[d])));
-                if (!resp["ok"].asBool())
-                    ++failures;
+            clients.emplace_back([&engine, &bodies, &responses, r, d] {
+                const int id = r * kDistinct + d;
+                responses[size_t(id)] =
+                    engine.handle(requestLine(id, bodies[d]));
             });
     for (auto &t : clients)
         t.join();
-    EXPECT_EQ(failures.load(), 0);
+
+    // Each distinct circuit equals its sequential one-shot transpile,
+    // whichever client computed it and whoever shared the dispatcher.
+    for (int d = 0; d < kDistinct; ++d) {
+        const json::Value oneShot =
+            oneShotReport(bodies[d], "serve_mixed" + std::to_string(d));
+        for (int r = 0; r < kRepeats; ++r) {
+            const json::Value resp =
+                json::parse(responses[size_t(r * kDistinct + d)]);
+            ASSERT_TRUE(resp["ok"].asBool()) << resp.dump(0);
+            EXPECT_EQ(asOneShot(resp["report"], oneShot), oneShot.dump(2))
+                << "circuit " << d << ", repeat " << r;
+        }
+    }
 
     serve::EngineCounters c = engine.counters();
     EXPECT_EQ(c.cacheMisses, uint64_t(kDistinct));
