@@ -22,12 +22,8 @@ namespace mirage::circuit {
 /** Options controlling consolidation. */
 struct ConsolidateOptions
 {
-    /** Annotate each block with its Weyl coordinates. */
-    bool annotateCoords = true;
     /** Use the coordinate LRU cache (Fig. 13a); off = always recompute. */
     bool useCoordinateCache = true;
-    /** Fold dangling 1Q gates into neighboring blocks where possible. */
-    bool absorbSingleQubitGates = true;
 };
 
 /** Statistics from one consolidation run. */

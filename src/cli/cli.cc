@@ -244,15 +244,17 @@ cmdSweep(const std::vector<std::string> &args, std::ostream &out,
     parser.addOption("--mc-iters", "N", "",
                      "Monte-Carlo iterations (fig5, table2)");
     parser.addOption("--limit", "N", "",
-                     "first N suite entries / widths (mirror-rb, "
-                     "mirror-qv, matrix; default: all)");
+                     "first N suite entries / widths (default: all)");
     parser.addOption("--cache", "DIR", "",
                      "equivalence-library cache directory shared across "
-                     "runs (table3/fig13)");
+                     "runs (table3, mirror-rb, mirror-qv)");
     parser.addOption("--catalog", "FILE", "",
                      "fit catalog warm-starting lowering experiments "
                      "('none' disables; default: $MIRAGE_FIT_CATALOG, "
                      "then ./FIT_CATALOG.bin when present)");
+    parser.addOption("--check", "FILE", "",
+                     "baseline artifact; exit 1 if a gated counter rose "
+                     "(counter-gated experiments only)");
     parser.addFlag("--csv", "also write <name>.csv next to the JSON");
     parser.addFlag("--stdout",
                    "print the artifact JSON to stdout instead of "
@@ -299,142 +301,78 @@ cmdSweep(const std::vector<std::string> &args, std::ostream &out,
     knobs.cacheDir = validateCacheDir(parser.option("--cache"));
     knobs.catalogPath = parser.option("--catalog");
 
+    // Read the baseline BEFORE writing the fresh artifact: the two
+    // paths may coincide, and writing first would make the gate
+    // compare the new artifact against itself -- always passing.
+    const std::string baselinePath = parser.option("--check");
+    json::Value baseline;
+    if (!baselinePath.empty()) {
+        if (experiment->gatedCounters.empty()) {
+            std::string gated;
+            for (const auto &e : experimentRegistry())
+                if (!e.gatedCounters.empty())
+                    gated += (gated.empty() ? "" : ", ") + e.name;
+            throw UsageError("--check needs a counter-gated experiment (" +
+                             gated + "); '" + name + "' has none");
+        }
+        baseline = readJsonFile(baselinePath);
+    }
+
     err << "mirage: running experiment '" << name << "' ("
         << experiment->artifact << ")...\n";
     json::Value artifact = runExperiment(*experiment, knobs);
-
-    if (parser.flag("--stdout")) {
+    const bool toStdout = parser.flag("--stdout");
+    if (toStdout) {
         out << artifact.dump(2);
-        return kExitSuccess;
+    } else {
+        const std::string dir = parser.option("--out");
+        std::error_code ec;
+        std::filesystem::create_directories(dir, ec);
+        const std::string jsonPath = dir + "/" + name + ".json";
+        {
+            std::ofstream f(jsonPath);
+            if (!f)
+                throw CliError("cannot write '" + jsonPath + "'");
+            f << artifact.dump(2);
+        }
+        out << "wrote " << jsonPath << " ("
+            << artifact["rows"].size() << " rows)\n";
+        if (parser.flag("--csv")) {
+            const std::string csvPath = dir + "/" + name + ".csv";
+            std::ofstream f(csvPath);
+            if (!f)
+                throw CliError("cannot write '" + csvPath + "'");
+            f << renderCsv(artifact);
+            out << "wrote " << csvPath << "\n";
+        }
     }
 
-    const std::string dir = parser.option("--out");
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    const std::string jsonPath = dir + "/" + name + ".json";
-    {
-        std::ofstream f(jsonPath);
-        if (!f)
-            throw CliError("cannot write '" + jsonPath + "'");
-        f << artifact.dump(2);
-    }
-    out << "wrote " << jsonPath << " ("
-        << artifact["rows"].size() << " rows)\n";
-    if (parser.flag("--csv")) {
-        const std::string csvPath = dir + "/" + name + ".csv";
-        std::ofstream f(csvPath);
-        if (!f)
-            throw CliError("cannot write '" + csvPath + "'");
-        f << renderCsv(artifact);
-        out << "wrote " << csvPath << "\n";
-    }
-    return kExitSuccess;
-}
-
-// --- bench ------------------------------------------------------------------
-
-/**
- * `mirage bench`: the routing perf trajectory. Thin front end over the
- * registry's `bench` experiment that (a) defaults the artifact to the
- * repo-root BENCH_fig13.json trajectory file and (b) gates CI: --check
- * compares the deterministic hot-path counters against a checked-in
- * baseline and fails the run on any regression.
- */
-int
-cmdBench(const std::vector<std::string> &args, std::ostream &out,
-         std::ostream &err)
-{
-    ArgumentParser parser("bench", "[--check <baseline.json>]");
-    parser.addOption("--experiment", "NAME", "bench",
-                     "counter-gated experiment: bench (Table III routing, "
-                     "BENCH_fig13.json), fig12-large (1000+ qubit "
-                     "topologies, BENCH_large_topo.json), or "
-                     "bench-lowering (fit pipeline cold vs catalog, "
-                     "BENCH_lowering.json)");
-    parser.addOption("--out", "FILE", "",
-                     "artifact path ('-' for stdout; default: the "
-                     "experiment's committed baseline name)");
-    parser.addOption("--check", "FILE", "",
-                     "baseline artifact; exit 1 if a deterministic "
-                     "counter (heuristicEvals/extSetBuilds, or the fit "
-                     "counters for bench-lowering) regressed");
-    parser.addOption("--catalog", "FILE", "",
-                     "fit catalog for bench-lowering's warm half ('none' "
-                     "disables; default: $MIRAGE_FIT_CATALOG, then "
-                     "./FIT_CATALOG.bin when present)");
-    parser.addOption("--trials", "N", "", "layout trials (default: 8)");
-    parser.addOption("--swap-trials", "N", "",
-                     "routing repeats per layout (default: 2)");
-    parser.addOption("--fwd-bwd", "N", "",
-                     "layout refinement rounds (default: 2)");
-    parser.addOption("--limit", "N", "",
-                     "only the first N Table III circuits (default: all)");
-    parser.parse(args);
-    if (parser.helpRequested()) {
-        out << parser.helpText();
-        return kExitSuccess;
-    }
-    if (!parser.positionals().empty())
-        throw UsageError("bench takes no positional operands");
-
-    SweepKnobs knobs;
-    for (auto [flag, slot] : {std::pair{"--trials", &knobs.layoutTrials},
-                              {"--swap-trials", &knobs.swapTrials},
-                              {"--fwd-bwd", &knobs.fwdBwd},
-                              {"--limit", &knobs.suiteLimit}})
-        if (parser.optionSeen(flag))
-            *slot = parser.intOption(flag, 1);
-
-    const std::string experimentName = parser.option("--experiment");
-    if (experimentName != "bench" && experimentName != "fig12-large" &&
-        experimentName != "bench-lowering")
-        throw UsageError("--experiment must be 'bench', 'fig12-large', "
-                         "or 'bench-lowering' (counter-gated "
-                         "experiments), got '" +
-                         experimentName + "'");
-    knobs.catalogPath = parser.option("--catalog");
-
-    // Read the baseline BEFORE writing the fresh artifact: with the
-    // default --out the two paths coincide (the committed repo-root
-    // BENCH_fig13.json), and writing first would make the gate compare
-    // the new artifact against itself -- always passing.
-    const std::string baselinePath = parser.option("--check");
-    json::Value baseline;
-    if (!baselinePath.empty())
-        baseline = readJsonFile(baselinePath);
-
-    const Experiment *experiment = findExperiment(experimentName);
-    MIRAGE_ASSERT(experiment, "bench experiment not registered");
-    err << "mirage: running " << experimentName << " bench ("
-        << (knobs.suiteLimit >= 0 ? std::to_string(knobs.suiteLimit)
-                                  : std::string("all"))
-        << " circuits)...\n";
-    json::Value artifact = runExperiment(*experiment, knobs);
-
-    std::string path = parser.option("--out");
-    if (path.empty())
-        path = experimentName == "bench"        ? "BENCH_fig13.json"
-               : experimentName == "fig12-large" ? "BENCH_large_topo.json"
-                                                 : "BENCH_lowering.json";
-    writeOutput(path, artifact.dump(2), out);
-    if (path != "-" && !path.empty())
-        out << "wrote " << path << " (" << artifact["rows"].size()
-            << " circuits)\n";
-
+    // The artifact is written either way, so a failing run can be
+    // inspected; the checks then decide the exit status.
+    std::ostream &log = toStdout ? err : out;
+    int status = kExitSuccess;
     if (!baselinePath.empty()) {
         std::string report;
-        bool ok = checkBenchCounters(artifact, baseline, &report);
-        if (!report.empty())
-            out << report;
-        if (!ok) {
-            err << "mirage: bench counters regressed versus '"
-                << baselinePath << "'\n";
-            return kExitFailure;
+        const bool ok =
+            checkBenchCounters(*experiment, artifact, baseline, &report);
+        log << report;
+        if (ok) {
+            log << "check OK: no gated counter rose versus "
+                << baselinePath << "\n";
+        } else {
+            err << "mirage: counter check versus '" << baselinePath
+                << "' failed\n";
+            status = kExitFailure;
         }
-        out << "bench check OK: no counter regressions versus "
-            << baselinePath << "\n";
     }
-    return kExitSuccess;
+    std::string broken;
+    if (!checkInvariants(*experiment, artifact, &broken)) {
+        std::istringstream lines(broken);
+        for (std::string line; std::getline(lines, line);)
+            err << "mirage: " << name << ": " << line << "\n";
+        status = kExitFailure;
+    }
+    return status;
 }
 
 // --- report -----------------------------------------------------------------
@@ -887,9 +825,8 @@ usage()
            "  transpile   run the full MIRAGE pipeline on an OpenQASM 2 "
            "file\n"
            "  sweep       run a registered paper experiment, emit a "
-           "JSON/CSV artifact\n"
-           "  bench       routing perf trajectory (BENCH_fig13.json); "
-           "--check gates CI\n"
+           "JSON/CSV artifact;\n"
+           "              --check gates the perf counters in CI\n"
            "  serve       persistent transpilation service (Unix socket "
            "or stdio)\n"
            "  serve-bench serve throughput/latency (BENCH_serve.json); "
@@ -946,8 +883,6 @@ run(const std::vector<std::string> &args, std::ostream &out,
             return cmdTranspile(rest, out, err);
         if (command == "sweep")
             return cmdSweep(rest, out, err);
-        if (command == "bench")
-            return cmdBench(rest, out, err);
         if (command == "serve")
             return cmdServe(rest, out, err);
         if (command == "serve-bench")

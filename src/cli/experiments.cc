@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
+#include <optional>
 
 #include "bench_circuits/generators.hh"
 #include "bench_circuits/mirror.hh"
@@ -110,6 +111,26 @@ sweepOptions(mirage_pass::Flow flow, uint64_t seed, const ResolvedKnobs &k)
     o.seed = seed;
     o.threads = k.threads;
     return o;
+}
+
+/**
+ * transpile() each circuit in order with one options set, so one
+ * equivalence library (opts.equivalenceLibrary) serves them all; when
+ * threads != 1 one trial-grid pool, owned here, serves them too.
+ */
+std::vector<mirage_pass::TranspileResult>
+transpileAll(const std::vector<circuit::Circuit> &circuits,
+             const topology::CouplingMap &coupling,
+             mirage_pass::TranspileOptions opts)
+{
+    std::optional<exec::ThreadPool> pool;
+    if (opts.threads != 1)
+        opts.pool = &pool.emplace(opts.threads);
+    std::vector<mirage_pass::TranspileResult> results;
+    results.reserve(circuits.size());
+    for (const circuit::Circuit &c : circuits)
+        results.push_back(mirage_pass::transpile(c, coupling, opts));
+    return results;
 }
 
 /** Aggregated transpile statistics over several seeds (geometric mean
@@ -667,60 +688,15 @@ runFig12(const SweepKnobs &userKnobs)
     return out;
 }
 
-/** Fig. 13: suite transpile timing, serial vs parallel + lowering. */
+/**
+ * Fig. 13: QFT scaling and the caching ablation. The suite's transpile
+ * and lowering wall times are the `bench` and `bench-lowering`
+ * experiments.
+ */
 json::Value
-runFig13(const SweepKnobs &userKnobs)
+runFig13(const SweepKnobs &)
 {
-    ResolvedKnobs knobs = resolve(userKnobs, 1, 8, 2, 2);
     const auto grid = topology::CouplingMap::grid(8, 8);
-
-    std::vector<circuit::Circuit> circuits;
-    for (const auto &b : bench::paperBenchmarks())
-        circuits.push_back(b.make());
-
-    auto opts = sweepOptions(mirage_pass::Flow::MirageDepth, 0xB3, knobs);
-
-    // Warm the process-wide coverage/coordinate caches outside the
-    // timed region (both runs then see the same warm state).
-    mirage_pass::transpile(circuits.front(), grid, opts);
-
-    opts.threads = 1;
-    auto t0 = std::chrono::steady_clock::now();
-    auto serial = mirage_pass::transpileMany(circuits, grid, opts);
-    double serial_ms = millisSince(t0);
-
-    opts.threads = 0; // all hardware threads
-    t0 = std::chrono::steady_clock::now();
-    auto parallel = mirage_pass::transpileMany(circuits, grid, opts);
-    double parallel_ms = millisSince(t0);
-
-    bool identical = serial.size() == parallel.size();
-    for (size_t i = 0; identical && i < serial.size(); ++i)
-        identical =
-            circuit::Circuit::bitIdentical(serial[i].routed,
-                                           parallel[i].routed) &&
-            serial[i].metrics.depth == parallel[i].metrics.depth;
-
-    // Lowering stage: cold library (numerical fits) vs warm rerun
-    // (pure cache hits) over one shared equivalence library.
-    opts.threads = knobs.threads;
-    opts.lowerToBasis = true;
-    auto lib = decomp::loadLibrary(opts.rootDegree, decomp::kCatalogDisabled,
-                                   knobs.cacheDir);
-    opts.equivalenceLibrary = lib.get();
-
-    t0 = std::chrono::steady_clock::now();
-    mirage_pass::transpileMany(circuits, grid, opts);
-    double cold_ms = millisSince(t0);
-    uint64_t cold_fits = lib->fitCount();
-
-    t0 = std::chrono::steady_clock::now();
-    auto warm = mirage_pass::transpileMany(circuits, grid, opts);
-    double warm_ms = millisSince(t0);
-    int warm_fits = 0;
-    for (const auto &r : warm)
-        warm_fits += r.translateStats.newFits;
-    decomp::saveLibraryCache(*lib, knobs.cacheDir);
 
     json::Value rows = json::Value::array();
     auto addRow = [&rows](const char *stage, double ms,
@@ -733,14 +709,6 @@ runFig13(const SweepKnobs &userKnobs)
         row.set("detail", detail);
         rows.push(std::move(row));
     };
-    addRow("transpile-serial", serial_ms, "threads=1");
-    addRow("transpile-parallel", parallel_ms,
-           "threads=" + std::to_string(exec::defaultThreads()));
-    addRow("lowering-cold", cold_ms,
-           std::to_string(cold_fits) + " fits");
-    addRow("lowering-warm", warm_ms,
-           std::to_string(warm_fits) + " new fits");
-
     // Per-size scaling and the caching ablation (Section VI-C): QFT(n)
     // consolidated and routed in one pass from a fixed random layout,
     // best of kReps wall times. "uncached" disables the consolidation
@@ -774,7 +742,7 @@ runFig13(const SweepKnobs &userKnobs)
             double best_ms = 0;
             router::RouteResult res;
             for (int r = 0; r < kReps; ++r) {
-                t0 = std::chrono::steady_clock::now();
+                const auto t0 = std::chrono::steady_clock::now();
                 res = router::routePass(circuit::consolidateBlocks(qft, copts),
                                         grid, init, popts);
                 const double ms = millisSince(t0);
@@ -791,7 +759,7 @@ runFig13(const SweepKnobs &userKnobs)
     }
 
     json::Value out = json::Value::object();
-    out.set("parameters", parametersJson(knobs));
+    out.set("parameters", json::Value::object());
     json::Value cols = json::Value::array();
     cols.push(column("stage", "stage"));
     cols.push(column("qubits", "qubits"));
@@ -800,12 +768,6 @@ runFig13(const SweepKnobs &userKnobs)
     out.set("columns", std::move(cols));
     out.set("rows", std::move(rows));
     json::Value summary = json::Value::object();
-    summary.set("parallelSpeedup",
-                parallel_ms > 0 ? serial_ms / parallel_ms : 0.0);
-    summary.set("loweringWarmSpeedup",
-                warm_ms > 0 ? cold_ms / warm_ms : 0.0);
-    summary.set("outputsBitIdentical", identical);
-    summary.set("hardwareThreads", exec::defaultThreads());
     summary.set("qftMirageOverSabre",
                 config_ms[0] > 0 ? config_ms[1] / config_ms[0] : 0.0);
     summary.set("qftUncachedSlowdown",
@@ -813,13 +775,13 @@ runFig13(const SweepKnobs &userKnobs)
     summary.set("cacheAblationBitIdentical", ablation_identical);
     out.set("summary", std::move(summary));
     out.set("notes",
-            "Whole Table III suite on an 8x8 grid, then single routing "
-            "passes of QFT(16..64) on the same grid: SABRE, MIRAGE with "
-            "and without the consolidation coordinate cache. Wall times "
-            "vary by machine; outputsBitIdentical (the trial engine's "
-            "determinism guarantee) and cacheAblationBitIdentical (the "
-            "cache leaves every QFT route unchanged) must always be "
-            "true.");
+            "Single routing passes of QFT(16..64) on an 8x8 grid: "
+            "SABRE, MIRAGE with and without the consolidation "
+            "coordinate cache. Wall times vary by machine; "
+            "cacheAblationBitIdentical (the cache leaves every QFT "
+            "route unchanged) must always be true. The suite's "
+            "transpile and lowering times are the bench and "
+            "bench-lowering experiments.");
     return out;
 }
 
@@ -900,7 +862,7 @@ runTable3(const SweepKnobs &userKnobs)
     opts.equivalenceLibrary = lib.get();
 
     auto t0 = std::chrono::steady_clock::now();
-    auto results = mirage_pass::transpileMany(circuits, grid, opts);
+    auto results = transpileAll(circuits, grid, opts);
     double elapsed_ms = millisSince(t0);
     decomp::saveLibraryCache(*lib, knobs.cacheDir);
 
@@ -978,7 +940,7 @@ runTable3(const SweepKnobs &userKnobs)
  * resolves). Wall times are recorded but never gated; the
  * deterministic counters (fits, fitEvaluations, warmNewFits,
  * warmFitEvaluations -- pure functions of the circuits and the
- * FMA-free fit pipeline) are gated by `mirage bench --experiment
+ * FMA-free fit pipeline) are gated by `mirage sweep --experiment
  * bench-lowering --check BENCH_lowering.json` in CI, so the repo can
  * never silently go cold again.
  */
@@ -998,7 +960,7 @@ runBenchLowering(const SweepKnobs &userKnobs)
     // from routing cost and measured per circuit, sequentially, so the
     // counters cannot be split across threads.
     auto opts = sweepOptions(mirage_pass::Flow::MirageDepth, 0xB3, knobs);
-    auto routed = mirage_pass::transpileMany(circuits, grid, opts);
+    auto routed = transpileAll(circuits, grid, opts);
 
     decomp::EquivalenceLibrary cold(2);
     std::vector<decomp::TranslateStats> cold_stats(routed.size());
@@ -1079,7 +1041,7 @@ runBenchLowering(const SweepKnobs &userKnobs)
 }
 
 /**
- * Routing perf trajectory (`mirage bench`): the Table III suite routed
+ * Routing perf trajectory (`bench`): the Table III suite routed
  * with the MIRAGE flow, reporting per-circuit routing-phase wall time
  * (threads=1 and all cores) next to the deterministic hot-path work
  * counters. The counters are pure functions of (circuit, options,
@@ -1168,7 +1130,7 @@ runBenchRouting(const SweepKnobs &userKnobs)
             "grid (MirageDepth flow), threads=1 vs all cores, with the "
             "deterministic hot-path counters. Wall times vary by "
             "machine; the counters and routed circuits must not (the "
-            "`mirage bench --check` CI gate compares counters only).");
+            "`mirage sweep --check` CI gate compares counters only).");
     return out;
 }
 
@@ -1176,7 +1138,7 @@ runBenchRouting(const SweepKnobs &userKnobs)
  * Large-device routing gate (fig12 at Osprey/Condor scale): route a
  * slice of the Table III suite on the 433/1121-qubit heavy-hex and
  * 33x33-grid topologies. The artifact records the same deterministic
- * hot-path counters as the `bench` experiment, so `mirage bench
+ * hot-path counters as the `bench` experiment, so `mirage sweep
  * --experiment fig12-large --check` gates regressions the same way.
  */
 json::Value
@@ -1287,7 +1249,7 @@ runFig12Large(const SweepKnobs &userKnobs)
     out.set("notes",
             "Table III circuits routed on 433/1121-qubit heavy-hex and a "
             "33x33 grid; msPerGate2q tracks route-time scaling in gate "
-            "count. Counters are deterministic and gated by `mirage bench "
+            "count. Counters are deterministic and gated by `mirage sweep "
             "--experiment fig12-large --check`; wall times vary by machine "
             "and are never compared.");
     return out;
@@ -1582,11 +1544,12 @@ experimentRegistry()
          "SWAPs",
          runFig12},
         {"fig13", "Figure 13",
-         "Transpiler runtime: parallel trial engine, lowering cache, "
-         "QFT scaling and the caching ablation",
+         "Transpiler runtime: QFT scaling and the caching ablation",
          "paper: caching keeps MIRAGE runtime competitive with SABRE "
          "(Section VI-C)",
-         runFig13},
+         runFig13,
+         {},
+         {"cacheAblationBitIdentical"}},
         {"table1", "Table I",
          "Exact Haar scores/fidelities for iSWAP roots, with mirrors",
          "paper: 1.105/0.9890 1.029/0.9897 | 0.9907/0.9901 "
@@ -1602,14 +1565,18 @@ experimentRegistry()
          "paper: Table III reports the suite's 2Q gate counts; this "
          "repo additionally measures the lowered pulse counts "
          "(measured == estimated expected)",
-         runTable3},
+         runTable3,
+         {},
+         {"measuredEqualsEstimated"}},
         {"mirror-rb", "Mirror RB",
          "Self-verifying mirror randomized-benchmarking circuits, "
          "routed+lowered on heavy-hex 57Q with a bitstring oracle",
          "beyond paper: Proctor et al. mirror circuits; end-to-end "
          "pipeline verification at widths the 6-qubit unitary oracle "
          "cannot reach (allVerified must be true)",
-         [](const SweepKnobs &k) { return runMirrorFamily(k, false); }},
+         [](const SweepKnobs &k) { return runMirrorFamily(k, false); },
+         {},
+         {"allVerified"}},
         {"mirror-qv", "Mirror QV",
          "Self-verifying mirror quantum-volume circuits (random SU(4) "
          "halves), routed+lowered on heavy-hex 57Q with a bitstring "
@@ -1617,34 +1584,44 @@ experimentRegistry()
          "beyond paper: mitiq-style mirror QV; end-to-end pipeline "
          "verification at widths the 6-qubit unitary oracle cannot "
          "reach (allVerified must be true)",
-         [](const SweepKnobs &k) { return runMirrorFamily(k, true); }},
+         [](const SweepKnobs &k) { return runMirrorFamily(k, true); },
+         {},
+         {"allVerified"}},
         {"matrix", "Table III (scenario matrix)",
          "{mirror families + Table III suite} x {grid6x6, heavyhex57, "
          "line30} x aggression 0-3, one artifact row per cell",
          "beyond paper: full scenario coverage with per-cell depth "
          "reduction and bitstring verification of the mirror workloads",
-         runMatrix},
+         runMatrix,
+         {},
+         {"allMirrorCellsVerified"}},
         {"bench", "Figure 13 (routing)",
          "Routing hot-path perf trajectory: wall time + deterministic "
          "work counters",
          "paper: mirror-aware routing must stay fast enough to run "
          "many trials (Section VI-C); tracked here as the committed "
          "BENCH_fig13.json trajectory",
-         runBenchRouting},
+         runBenchRouting,
+         {"heuristicEvals", "extSetBuilds"},
+         {"outputsBitIdentical"}},
         {"fig12-large", "Figure 12 (large devices)",
          "Table III circuits routed on 433/1121-qubit heavy-hex and a "
          "33x33 grid, with deterministic routing counters",
          "beyond paper: the paper evaluates up to heavy-hex 57; this "
          "sweep scales routing to IBM Osprey/Condor-class devices "
          "(tracked as the committed BENCH_large_topo.json trajectory)",
-         runFig12Large},
+         runFig12Large,
+         {"heuristicEvals", "extSetBuilds"}},
         {"bench-lowering", "Figure 13 (lowering)",
          "Lowering cold-start trajectory: cold fits vs the committed "
          "FIT_CATALOG.bin, with deterministic fit counters",
          "paper: Section VI-C motivates the decomposition cache; "
          "tracked here as the committed BENCH_lowering.json trajectory "
          "(warmNewFits must stay 0)",
-         runBenchLowering},
+         runBenchLowering,
+         // warmNewFits' baseline is 0, so ANY warm fit is a regression:
+         // the committed catalog stopped covering the suite.
+         {"fits", "fitEvaluations", "warmNewFits", "warmFitEvaluations"}},
     };
     return registry;
 }
@@ -1657,7 +1634,7 @@ buildCatalogLibrary(int threads)
     user.threads = threads;
     user.catalogPath = decomp::kCatalogDisabled; // always build cold
 
-    // Table III target set, at the exact config table3/fig13/
+    // Table III target set, at the exact config table3 and
     // bench-lowering run: 8x8 grid, MirageDepth, seed 0xB3,
     // trials 8/2/2.
     {
@@ -1670,7 +1647,7 @@ buildCatalogLibrary(int threads)
             sweepOptions(mirage_pass::Flow::MirageDepth, 0xB3, knobs);
         opts.lowerToBasis = true;
         opts.equivalenceLibrary = lib.get();
-        mirage_pass::transpileMany(circuits, grid, opts);
+        transpileAll(circuits, grid, opts);
     }
 
     // Mirror-workload target set, at the exact mirror-rb/mirror-qv
@@ -1780,8 +1757,8 @@ validateArtifact(const json::Value &artifact, std::string *error)
 }
 
 bool
-checkBenchCounters(const json::Value &current, const json::Value &baseline,
-                   std::string *report)
+checkBenchCounters(const Experiment &e, const json::Value &current,
+                   const json::Value &baseline, std::string *report)
 {
     auto fail = [report](const std::string &msg) {
         if (report)
@@ -1793,20 +1770,19 @@ checkBenchCounters(const json::Value &current, const json::Value &baseline,
         return fail("current artifact invalid: " + err);
     if (!validateArtifact(baseline, &err))
         return fail("baseline artifact invalid: " + err);
-    // Counter-gated artifacts: rows keyed by "name" carrying the
-    // deterministic hot-path counters. Both sides must come from the
-    // same experiment or the row sets aren't comparable.
-    const std::string experiment = current["experiment"].asString();
-    if (experiment != "bench" && experiment != "fig12-large" &&
-        experiment != "bench-lowering")
-        return fail("not a counter-gated artifact: " + experiment);
-    if (baseline["experiment"].asString() != experiment)
-        return fail("experiment mismatch: current '" + experiment +
-                    "' vs baseline '" +
-                    baseline["experiment"].asString() + "'");
+    if (e.gatedCounters.empty())
+        return fail("not a counter-gated experiment: " + e.name);
+    // Both sides must come from the same experiment or the row sets
+    // aren't comparable.
+    for (const json::Value *a : {&current, &baseline}) {
+        if ((*a)["experiment"].asString() != e.name)
+            return fail("experiment mismatch: want '" + e.name +
+                        "', artifact has '" +
+                        (*a)["experiment"].asString() + "'");
+    }
 
-    // Counters are only comparable when the routing workload matches;
-    // threads is exempt (counters are thread-invariant by contract).
+    // Counters are only comparable when the workload matches; threads
+    // is exempt (counters are thread-invariant by contract).
     for (const char *key : {"seeds", "layoutTrials", "swapTrials",
                             "forwardBackwardPasses", "circuits"}) {
         const json::Value *c = current["parameters"].find(key);
@@ -1816,18 +1792,6 @@ checkBenchCounters(const json::Value &current, const json::Value &baseline,
                         "' differs from the baseline; regenerate the "
                         "baseline with matching knobs");
     }
-
-    // The gated counters per experiment. Routing benches gate the
-    // SABRE hot path; bench-lowering gates the fit pipeline (fits and
-    // objective evaluations per circuit) plus warmNewFits, whose
-    // baseline is 0 -- so ANY warm fit is a regression: the committed
-    // catalog stopped covering the suite.
-    const std::vector<const char *> counter_keys =
-        experiment == "bench-lowering"
-            ? std::vector<const char *>{"fits", "fitEvaluations",
-                                        "warmNewFits",
-                                        "warmFitEvaluations"}
-            : std::vector<const char *>{"heuristicEvals", "extSetBuilds"};
 
     bool ok = true;
     const json::Value &rows = current["rows"];
@@ -1846,11 +1810,16 @@ checkBenchCounters(const json::Value &current, const json::Value &baseline,
         const std::string name = row["name"].asString();
         const json::Value *base = findRow(name);
         if (!base)
-            continue; // a new circuit has no baseline yet
+            continue; // a new row has no baseline yet
         ++matched;
-        for (const char *key : counter_keys) {
-            int64_t now = row[key].asInt();
-            int64_t ref = (*base)[key].asInt();
+        for (const std::string &key : e.gatedCounters) {
+            const json::Value *n = row.find(key), *r = base->find(key);
+            if (!n || !r || !n->isNumber() || !r->isNumber()) {
+                ok = false;
+                fail(name + ": counter '" + key + "' missing");
+                continue;
+            }
+            const int64_t now = n->asInt(), ref = r->asInt();
             if (now > ref) {
                 ok = false;
                 fail(name + ": " + key + " regressed " +
@@ -1862,12 +1831,31 @@ checkBenchCounters(const json::Value &current, const json::Value &baseline,
             }
         }
     }
-    // Every baseline circuit must still be measured, or a regression
-    // could hide behind a shrunken suite.
+    // Every baseline row must still be measured, or a regression could
+    // hide behind a shrunken suite.
     if (matched < base_rows.size()) {
         ok = false;
         fail("current run covers " + std::to_string(matched) + " of " +
-             std::to_string(base_rows.size()) + " baseline circuits");
+             std::to_string(base_rows.size()) + " baseline rows");
+    }
+    return ok;
+}
+
+bool
+checkInvariants(const Experiment &e, const json::Value &artifact,
+                std::string *report)
+{
+    bool ok = true;
+    const json::Value *summary = artifact.find("summary");
+    for (const std::string &key : e.invariants) {
+        const json::Value *flag = summary ? summary->find(key) : nullptr;
+        if (flag && flag->isBool() && flag->asBool())
+            continue;
+        ok = false;
+        if (report)
+            *report += "invariant '" + key + "' is " +
+                       (flag ? flag->dump(0) : std::string("missing")) +
+                       ", must be true\n";
     }
     return ok;
 }

@@ -1,7 +1,7 @@
 /**
  * @file
- * The paper-reproduction experiment registry behind `mirage sweep`,
- * `mirage bench` and `mirage catalog`.
+ * The paper-reproduction experiment registry behind `mirage sweep`
+ * and `mirage catalog`.
  *
  * Every reproducible figure/table of the paper (Figs. 3-6 and 8-13,
  * Tables I-III) is one named Experiment whose run() returns a
@@ -67,6 +67,14 @@ struct Experiment
     std::string paperRef; ///< the paper's reference numbers
     /** Runs the experiment; returns columns/rows/summary/parameters. */
     std::function<json::Value(const SweepKnobs &)> run;
+    /**
+     * Row counters that may not rise against a baseline artifact
+     * (`sweep --check`); rows are matched by their "name" key. Empty:
+     * the experiment has no counter gate.
+     */
+    std::vector<std::string> gatedCounters = {};
+    /** Summary booleans that must be true in every artifact. */
+    std::vector<std::string> invariants = {};
 };
 
 /** All registered experiments, in paper order. */
@@ -74,7 +82,7 @@ const std::vector<Experiment> &experimentRegistry();
 
 /**
  * Fit the full catalog target set -- every decomposition the Table III
- * sweep (exact table3/fig13 config) and the mirror-rb/mirror-qv
+ * sweep (exact table3 config) and the mirror-rb/mirror-qv
  * families need, plus the standard preseed gates -- into one
  * equivalence library, cold (no catalog/cache load). saveCache of the
  * result IS the FIT_CATALOG.bin artifact; the build is deterministic,
@@ -103,15 +111,21 @@ json::Value runExperiment(const Experiment &e, const SweepKnobs &knobs);
 bool validateArtifact(const json::Value &artifact, std::string *error);
 
 /**
- * Perf-trajectory gate for `mirage bench --check`: compare a freshly
- * produced `bench` artifact against a checked-in baseline. Fails (and
- * explains in *report) when the run parameters differ, a baseline
- * circuit is missing, or a deterministic work counter (heuristicEvals,
- * extSetBuilds) regressed -- wall times are never compared, so the
- * check is noise-free and runs on any machine.
+ * Perf-trajectory gate for `mirage sweep --check`: compare a freshly
+ * produced artifact of `e` against a checked-in baseline. Fails (and
+ * explains in *report) when the run parameters differ, a baseline row
+ * is missing, or one of e.gatedCounters rose -- wall times are never
+ * compared, so the check is noise-free and runs on any machine.
  */
-bool checkBenchCounters(const json::Value &current,
+bool checkBenchCounters(const Experiment &e, const json::Value &current,
                         const json::Value &baseline, std::string *report);
+
+/**
+ * Check that every one of e.invariants is `true` in the artifact's
+ * summary. On failure names each false or missing flag in *report.
+ */
+bool checkInvariants(const Experiment &e, const json::Value &artifact,
+                     std::string *report);
 
 /** Render an artifact as a GitHub-markdown section (table + summary). */
 std::string renderMarkdown(const json::Value &artifact);

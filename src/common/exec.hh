@@ -3,11 +3,11 @@
  * Minimal concurrency subsystem: a fixed-size thread pool with a
  * blocking parallelFor.
  *
- * Routing trials (router::routeWithTrials) and batch transpilation
- * (mirage_pass::transpileMany) are embarrassingly parallel: every work
- * item derives all of its randomness from a counter-based stream keyed
- * by (seed, itemIndex) (see common/rng.hh), so results are bit-identical
- * regardless of thread count or scheduling order. The pool therefore
+ * Routing trials (router::routeWithTrials) are embarrassingly
+ * parallel: every work item derives all of its randomness from a
+ * counter-based stream keyed by (seed, itemIndex) (see common/rng.hh),
+ * so results are bit-identical regardless of thread count or
+ * scheduling order. The pool therefore
  * needs no work stealing and no task dependencies -- just a shared FIFO
  * of closures and a barrier-style parallelFor that propagates the first
  * exception to the caller.

@@ -9,8 +9,8 @@
  * routed circuit -- including mirrored Unitary2Q blocks -- into
  * RootISWAP pulses plus single-qubit unitaries.
  *
- * One library instance is safe to share across threads and across all
- * circuits of a transpileMany batch: the cache is mutex-guarded, fits
+ * One library instance is safe to share across threads and across
+ * many transpile() calls: the cache is mutex-guarded, fits
  * run outside the lock, and every fit targets the quantization-cell
  * representative with randomness from a counter-based stream keyed by
  * the quantized target, so the cached decomposition is a pure function

@@ -39,7 +39,7 @@ fitAnsatz(const Mat4 &target, const Mat4 &basis, int k, Rng &rng,
         std::vector<double> grad;
         double fid = 0;
         const double b1 = 0.9, b2 = 0.999, eps = 1e-8;
-        double lr = opts.adamLearningRate;
+        double lr = 0.1; // step size, halved every 100 iterations
         for (int it = 1; it <= opts.adamIterations; ++it) {
             fid = ansatzFidelity(target, basis, k, p, &grad);
             ++evals;

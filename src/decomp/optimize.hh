@@ -31,7 +31,6 @@ struct FitOptions
 {
     int restarts = 3;
     int adamIterations = 300;
-    double adamLearningRate = 0.1;
     /** Early-exit once 1 - fidelity < this. */
     double targetInfidelity = 1e-10;
     /** Run a Nelder-Mead polish on the best start. */

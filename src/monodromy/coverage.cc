@@ -191,13 +191,20 @@ mirrorImage(const Polytope &region)
 }
 
 CoverageSet
-CoverageSet::build(const BasisSpec &basis, const CoverageBuildOptions &opts,
-                   const CoverageSet *parent, int parent_stride)
+CoverageSet::build(const BasisSpec &basis, const CoverageSet *parent,
+                   int parent_stride)
 {
+    // Sampling budget and seed; the snapped polytopes (and every
+    // coverage anchor the tests pin) depend on them.
+    constexpr int kSamplesPerK = 6000;
+    constexpr int kRefineEvals = 250;
+    constexpr int kMaxK = 8;
+    constexpr uint64_t kSeed = 0x5EEDULL;
+
     CoverageSet cs;
     cs.basis_ = basis;
 
-    Rng rng(opts.seed);
+    Rng rng(kSeed);
     const auto &dirs = candidateDirections();
     const double grid = kPi / (16.0 * basis.gridDivisor);
     const double snap_tol = 0.012;
@@ -214,9 +221,9 @@ CoverageSet::build(const BasisSpec &basis, const CoverageBuildOptions &opts,
 
     std::vector<Vec3> prev_vertices = {signedVec(basis.coords)};
     std::vector<bool> certified(landmarkPoints().size(), false);
-    Rng fit_rng(opts.seed ^ 0xF17ULL);
+    Rng fit_rng(kSeed ^ 0xF17ULL);
 
-    for (int k = 2; k <= opts.maxK; ++k) {
+    for (int k = 2; k <= kMaxK; ++k) {
         const int nparams = 6 * (k - 1);
         std::vector<double> supports(dirs.size(),
                                      -std::numeric_limits<double>::infinity());
@@ -230,7 +237,7 @@ CoverageSet::build(const BasisSpec &basis, const CoverageBuildOptions &opts,
         }
 
         // Bulk sampling of interleaved products.
-        for (int s = 0; s < opts.samplesPerK; ++s) {
+        for (int s = 0; s < kSamplesPerK; ++s) {
             std::vector<double> p(static_cast<size_t>(nparams));
             for (auto &x : p)
                 x = rng.uniform(-kPi, kPi);
@@ -309,21 +316,17 @@ CoverageSet::build(const BasisSpec &basis, const CoverageBuildOptions &opts,
         }
 
         // Per-direction support refinement.
-        if (opts.refineSupports) {
-            for (size_t d = 0; d < dirs.size(); ++d) {
-                if (argmax[d].empty())
-                    continue;
-                decomp::ObjectiveFn obj =
-                    [&](const std::vector<double> &p) {
-                        weyl::Coord c = weyl::weylCoordinates(
-                            interleavedProduct(basis.matrix, k, p));
-                        return -dirs[d].dot(signedVec(c));
-                    };
-                double val = 0;
-                decomp::nelderMead(obj, argmax[d], 0.15, opts.refineEvals,
-                                   &val);
-                supports[d] = std::max(supports[d], -val);
-            }
+        for (size_t d = 0; d < dirs.size(); ++d) {
+            if (argmax[d].empty())
+                continue;
+            decomp::ObjectiveFn obj = [&](const std::vector<double> &p) {
+                weyl::Coord c = weyl::weylCoordinates(
+                    interleavedProduct(basis.matrix, k, p));
+                return -dirs[d].dot(signedVec(c));
+            };
+            double val = 0;
+            decomp::nelderMead(obj, argmax[d], 0.15, kRefineEvals, &val);
+            supports[d] = std::max(supports[d], -val);
         }
 
         // Snap supports onto the rational grid; pad un-snapped values so
@@ -422,8 +425,8 @@ coverageForRootIswap(int n)
 {
     // Recursive: building root n inserts its divisor parents first. The
     // lock guards callers invoking transpile() concurrently from their
-    // own threads (transpileMany constructs cost models sequentially);
-    // references stay valid because std::map never relocates nodes.
+    // own threads; references stay valid because std::map never
+    // relocates nodes.
     static std::recursive_mutex registry_mutex;
     static std::map<int, CoverageSet> registry;
     std::lock_guard<std::recursive_mutex> lock(registry_mutex);
@@ -440,7 +443,7 @@ coverageForRootIswap(int n)
             }
         }
         it = registry
-                 .emplace(n, CoverageSet::build(BasisSpec::rootIswap(n), {},
+                 .emplace(n, CoverageSet::build(BasisSpec::rootIswap(n),
                                                 parent, stride))
                  .first;
     }

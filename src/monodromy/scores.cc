@@ -56,9 +56,10 @@ haarScoreMonteCarlo(const CoverageSet &coverage, const MonteCarloOptions &opts)
     double total_cost = 0;
     double total_fid = 0;
 
+    // A short, unpolished fit per approximation check.
     decomp::FitOptions fit_opts;
-    fit_opts.restarts = opts.fitRestarts;
-    fit_opts.adamIterations = opts.fitIterations;
+    fit_opts.restarts = 2;
+    fit_opts.adamIterations = 220;
     fit_opts.polish = false;
     fit_opts.targetInfidelity = 1e-9;
 

@@ -40,9 +40,6 @@ struct MonteCarloOptions
     /** Allow approximate decomposition when it improves total fidelity. */
     bool approximate = false;
     uint64_t seed = 0xA15EULL;
-    /** Optimizer restarts per approximation check. */
-    int fitRestarts = 2;
-    int fitIterations = 220;
     /** Running-average callback: (iteration, running score). */
     std::function<void(int, double)> progress;
 };

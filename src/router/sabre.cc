@@ -18,7 +18,7 @@
  * results because both modes feed the same integer sums through the
  * same combiner. Since distances are small non-negative ints, the sums
  * are exact in any accumulation order, so Delta == Naive holds for
- * every extendedSetWeight; with the default weight 0.5 (exactly
+ * any extended-set weight; with kExtendedSetWeight = 0.5 (exactly
  * representable halves) the combined doubles also reproduce the
  * historical per-term accumulation bit for bit.
  */
@@ -49,6 +49,15 @@ using layout::Layout;
 using topology::CouplingMap;
 
 namespace {
+
+/** SABRE lookahead window: at most this many 2Q gates past the front. */
+constexpr int kExtendedSetSize = 20;
+/** Weight of the extended set's mean distance in the heuristic. */
+constexpr double kExtendedSetWeight = 0.5;
+/** Decay added to both wires of each SWAP; reset to 1 every
+ * kDecayResetInterval SWAPs. */
+constexpr double kDecayIncrement = 0.001;
+constexpr int kDecayResetInterval = 5;
 
 /**
  * One front/extended node's contribution pinned to a physical wire:
@@ -281,7 +290,7 @@ struct PassState
     /**
      * Collect the lookahead window into scratch->ext: the next 2Q gates
      * after the front, breadth-first over the successor closure, capped
-     * at extendedSetSize. With skip_node >= 0 the BFS seeds the front
+     * at kExtendedSetSize. With skip_node >= 0 the BFS seeds the front
      * minus that node first and the node last (the mirror decision's
      * view); those builds bypass the stall-step cache.
      */
@@ -307,7 +316,7 @@ struct PassState
         // that are not already in the front.
         size_t head = 0;
         while (head < walk.size() &&
-               int(ext.size()) < opts->extendedSetSize) {
+               int(ext.size()) < kExtendedSetSize) {
             int id = walk[head++];
             for (int s : dag->node(id).succs) {
                 if (seen[size_t(s)] == epoch)
@@ -315,7 +324,7 @@ struct PassState
                 seen[size_t(s)] = epoch;
                 if (plan->twoQ[size_t(s)]) {
                     ext.push_back(s);
-                    if (int(ext.size()) >= opts->extendedSetSize)
+                    if (int(ext.size()) >= kExtendedSetSize)
                         break;
                 }
                 walk.push_back(s);
@@ -511,7 +520,7 @@ struct PassState
             mirror_sums = rescanSums(pa, pb);
         }
         const size_t ne = scratch->ext.size();
-        const double w = opts->extendedSetWeight;
+        const double w = kExtendedSetWeight;
         double h_now = combineOutlook(now_sums, ne, w);
         double h_mirror = combineOutlook(mirror_sums, ne, w);
 
@@ -614,7 +623,7 @@ struct PassState
         const bool use_delta = opts->scoreMode == ScoreMode::Delta;
         const size_t nf = scratch->front2q.size();
         const size_t ne = scratch->ext.size();
-        const double w = opts->extendedSetWeight;
+        const double w = kExtendedSetWeight;
         ScoreSums base;
         if (use_delta)
             base = buildBaseSums();
@@ -643,9 +652,9 @@ struct PassState
         out.append(std::move(sw));
         layout.swapPhysical(pa, pb);
         ++swaps_added;
-        decay[size_t(pa)] += opts->decayIncrement;
-        decay[size_t(pb)] += opts->decayIncrement;
-        if (++swaps_since_reset >= opts->decayResetInterval)
+        decay[size_t(pa)] += kDecayIncrement;
+        decay[size_t(pb)] += kDecayIncrement;
+        if (++swaps_since_reset >= kDecayResetInterval)
             resetDecay();
     }
 

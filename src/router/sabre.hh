@@ -66,10 +66,6 @@ enum class ScoreMode
 /** Options for one routing pass. */
 struct PassOptions
 {
-    int extendedSetSize = 20;
-    double extendedSetWeight = 0.5;
-    double decayIncrement = 0.001;
-    int decayResetInterval = 5;
     Aggression aggression = Aggression::None;
     /** Cost model used for mirror decisions and depth estimation; may be
      * null only when aggression == None. */
@@ -199,9 +195,10 @@ struct TrialOptions
      */
     int threads = 1;
     /**
-     * Optional externally owned pool (overrides `threads`); lets batch
-     * callers (mirage_pass::transpileMany) share workers across circuits
-     * instead of spawning a pool per call.
+     * Optional externally owned pool (overrides `threads`); lets
+     * long-lived callers (the serve engine, the sweep experiments)
+     * share workers across circuits instead of spawning a pool per
+     * call.
      */
     exec::ThreadPool *pool = nullptr;
 };

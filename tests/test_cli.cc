@@ -212,9 +212,13 @@ TEST(CliDispatch, NoArgumentsIsUsageError)
 
 TEST(CliDispatch, UnknownCommandIsUsageError)
 {
-    auto r = runCli({"frobnicate"});
-    EXPECT_EQ(r.code, cli::kExitUsage);
-    EXPECT_NE(r.err.find("unknown command"), std::string::npos);
+    // `bench` is gone: its gate is `sweep --check`.
+    for (const char *command : {"frobnicate", "bench"}) {
+        auto r = runCli({command});
+        EXPECT_EQ(r.code, cli::kExitUsage) << command;
+        EXPECT_NE(r.err.find("unknown command"), std::string::npos)
+            << command;
+    }
 }
 
 TEST(CliDispatch, HelpAndVersionSucceed)
@@ -697,26 +701,42 @@ TEST(CliSweep, MatrixSweepCoversTopologiesAndAggressions)
     EXPECT_EQ(aggressions, (std::set<int64_t>{0, 1, 2, 3}));
 }
 
-// --- bench ------------------------------------------------------------------
+// --- sweep --check ----------------------------------------------------------
 
 namespace {
 
-/** Tiny-knob bench invocation so the test stays fast. */
+/** Tiny-knob `bench` sweep into `dir` (writes dir/bench.json). */
 std::vector<std::string>
-benchArgs(const std::string &outPath)
+benchArgs(const std::string &dir)
 {
-    return {"bench",   "--limit",       "2", "--trials", "2",
-            "--swap-trials", "1", "--fwd-bwd", "1", "--out", outPath};
+    return {"sweep", "--experiment", "bench", "--limit", "2",
+            "--trials", "2", "--swap-trials", "1", "--fwd-bwd", "1",
+            "--out", dir};
+}
+
+/** `text` with its first heuristicEvals lowered by one. */
+std::string
+withFirstEvalsLowered(const std::string &text)
+{
+    const std::string key = "\"heuristicEvals\": ";
+    size_t start = text.find(key);
+    EXPECT_NE(start, std::string::npos);
+    start += key.size();
+    size_t end = text.find_first_of(",\n", start);
+    long long evals = std::stoll(text.substr(start, end - start));
+    return text.substr(0, start) + std::to_string(evals - 1) +
+           text.substr(end);
 }
 
 } // namespace
 
 TEST(CliBench, WritesValidArtifactAndSelfCheckPasses)
 {
-    const std::string path = tempPath("bench_self.json");
-    auto r = runCli(benchArgs(path));
+    const std::string dir = tempPath("bench_self");
+    auto r = runCli(benchArgs(dir));
     ASSERT_EQ(r.code, cli::kExitSuccess) << r.err;
 
+    const std::string path = dir + "/bench.json";
     json::Value artifact = json::parse(readFile(path));
     std::string schemaError;
     EXPECT_TRUE(cli::validateArtifact(artifact, &schemaError))
@@ -728,89 +748,107 @@ TEST(CliBench, WritesValidArtifactAndSelfCheckPasses)
 
     // Re-running against the just-written baseline must pass: the
     // counters are deterministic.
-    auto args = benchArgs(tempPath("bench_self2.json"));
+    auto args = benchArgs(tempPath("bench_self2"));
     args.push_back("--check");
     args.push_back(path);
     auto check = runCli(args);
     EXPECT_EQ(check.code, cli::kExitSuccess) << check.err;
-    EXPECT_NE(check.out.find("bench check OK"), std::string::npos);
+    EXPECT_NE(check.out.find("check OK"), std::string::npos);
 }
 
 TEST(CliBench, CheckFailsOnCounterRegression)
 {
-    const std::string path = tempPath("bench_base.json");
-    auto r = runCli(benchArgs(path));
+    const std::string dir = tempPath("bench_base");
+    auto r = runCli(benchArgs(dir));
     ASSERT_EQ(r.code, cli::kExitSuccess) << r.err;
 
-    // Doctor the baseline so the current run looks like a regression:
-    // lower the first row's heuristicEvals by one.
-    std::string text = readFile(path);
-    const std::string key = "\"heuristicEvals\": ";
-    size_t start = text.find(key);
-    ASSERT_NE(start, std::string::npos);
-    start += key.size();
-    size_t end = text.find_first_of(",\n", start);
-    long long evals = std::stoll(text.substr(start, end - start));
-    text = text.substr(0, start) + std::to_string(evals - 1) +
-           text.substr(end);
+    // Doctor the baseline so the current run looks like a regression.
     const std::string doctored = tempPath("bench_doctored.json");
-    writeFile(doctored, text);
+    writeFile(doctored,
+              withFirstEvalsLowered(readFile(dir + "/bench.json")));
 
-    auto args = benchArgs(tempPath("bench_cur.json"));
+    auto args = benchArgs(tempPath("bench_cur"));
     args.push_back("--check");
     args.push_back(doctored);
     auto check = runCli(args);
     EXPECT_EQ(check.code, cli::kExitFailure);
-    EXPECT_NE(check.err.find("regressed"), std::string::npos) << check.err;
+    EXPECT_NE(check.out.find("heuristicEvals regressed"), std::string::npos)
+        << check.out;
+    EXPECT_NE(check.err.find("counter check"), std::string::npos)
+        << check.err;
 }
 
 TEST(CliBench, CheckRejectsMismatchedParameters)
 {
-    const std::string path = tempPath("bench_params.json");
-    auto r = runCli(benchArgs(path));
+    const std::string dir = tempPath("bench_params");
+    auto r = runCli(benchArgs(dir));
     ASSERT_EQ(r.code, cli::kExitSuccess) << r.err;
 
-    auto args = std::vector<std::string>{
-        "bench", "--limit", "2", "--trials", "1", "--swap-trials", "1",
-        "--fwd-bwd", "1", "--out", tempPath("bench_params2.json"),
-        "--check", path};
+    auto args = benchArgs(tempPath("bench_params2"));
+    args[6] = "1"; // --trials 2 -> 1
+    args.push_back("--check");
+    args.push_back(dir + "/bench.json");
     auto check = runCli(args);
     EXPECT_EQ(check.code, cli::kExitFailure);
-    EXPECT_NE(check.err.find("regressed"), std::string::npos);
+    EXPECT_NE(check.out.find("parameter 'layoutTrials' differs"),
+              std::string::npos)
+        << check.out;
 }
 
 TEST(CliBench, CheckReadsBaselineBeforeOverwritingIt)
 {
-    // The default --out IS the committed baseline path, so the gate
-    // must read the baseline before writing the fresh artifact --
-    // otherwise it compares the new file to itself and always passes.
-    const std::string path = tempPath("bench_inplace.json");
-    auto r = runCli(benchArgs(path));
+    // When the baseline is the file the sweep writes, the gate must
+    // read it before writing the fresh artifact -- otherwise it
+    // compares the new file to itself and always passes.
+    const std::string dir = tempPath("bench_inplace");
+    auto r = runCli(benchArgs(dir));
     ASSERT_EQ(r.code, cli::kExitSuccess) << r.err;
 
     // Plant a regression in the baseline, then check IN PLACE.
-    std::string text = readFile(path);
-    const std::string key = "\"heuristicEvals\": ";
-    size_t start = text.find(key);
-    ASSERT_NE(start, std::string::npos);
-    start += key.size();
-    size_t end = text.find_first_of(",\n", start);
-    long long evals = std::stoll(text.substr(start, end - start));
-    writeFile(path, text.substr(0, start) + std::to_string(evals - 1) +
-                        text.substr(end));
+    const std::string path = dir + "/bench.json";
+    writeFile(path, withFirstEvalsLowered(readFile(path)));
 
-    auto args = benchArgs(path); // --out == --check target
+    auto args = benchArgs(dir);
     args.push_back("--check");
     args.push_back(path);
     auto check = runCli(args);
     EXPECT_EQ(check.code, cli::kExitFailure) << check.out;
-    EXPECT_NE(check.err.find("regressed"), std::string::npos) << check.err;
+    EXPECT_NE(check.out.find("regressed"), std::string::npos) << check.out;
 }
 
 TEST(CliBench, RejectsBadLimit)
 {
-    auto r = runCli({"bench", "--limit", "0"});
+    auto r = runCli({"sweep", "--experiment", "bench", "--limit", "0"});
     EXPECT_EQ(r.code, cli::kExitUsage);
+}
+
+TEST(CliSweep, CheckNeedsACounterGatedExperiment)
+{
+    // fig6 gates no counters, so --check is a usage error, raised
+    // before the experiment runs or the baseline is opened.
+    auto r = runCli({"sweep", "--experiment", "fig6", "--check",
+                     tempPath("no-such-baseline.json")});
+    EXPECT_EQ(r.code, cli::kExitUsage);
+    EXPECT_NE(r.err.find("counter-gated"), std::string::npos) << r.err;
+    EXPECT_NE(r.err.find("bench-lowering"), std::string::npos) << r.err;
+}
+
+TEST(ExperimentRegistry, InvariantCheckNamesFalseFlags)
+{
+    const cli::Experiment &rb = *cli::findExperiment("mirror-rb");
+    json::Value artifact = json::parse(
+        readFile(MIRAGE_TEST_DATA_DIR "/../VERIFY_mirror_rb.json"));
+    std::string report;
+    EXPECT_TRUE(cli::checkInvariants(rb, artifact, &report)) << report;
+
+    // Doctor the committed artifact's summary to allVerified: false.
+    json::Value summary = artifact["summary"];
+    summary.set("allVerified", false);
+    artifact.set("summary", summary);
+    EXPECT_FALSE(cli::checkInvariants(rb, artifact, &report));
+    EXPECT_NE(report.find("'allVerified' is false, must be true\n"),
+              std::string::npos)
+        << report;
 }
 
 TEST(CliReport, RejectsMalformedJsonWithPosition)
@@ -821,11 +859,11 @@ TEST(CliReport, RejectsMalformedJsonWithPosition)
     EXPECT_EQ(r.code, cli::kExitFailure);
     EXPECT_NE(r.err.find(path + ":2:"), std::string::npos) << r.err;
 
-    // The bench baselines go through the same reader, before any work
-    // runs, and every reader names the position exactly once.
+    // The --check baselines go through the same reader, before any
+    // work runs, and every reader names the position exactly once.
     for (const std::vector<std::string> &args :
          {std::vector<std::string>{"report", path},
-          {"bench", "--check", path},
+          {"sweep", "--experiment", "bench", "--check", path},
           {"serve-bench", "--check", path}}) {
         auto c = runCli(args);
         EXPECT_EQ(c.code, cli::kExitFailure) << args[0];
@@ -949,7 +987,7 @@ TEST(ExperimentRegistry, Fig12LargeGatesSparseMemoryAndCounters)
 {
     // One circuit per device keeps this to CI-test territory; the
     // artifact must be schema-valid and its own counter gate must
-    // accept it (checkBenchCounters is what CI's bench job runs).
+    // accept it (checkBenchCounters is what `sweep --check` runs).
     cli::SweepKnobs knobs;
     knobs.suiteLimit = 1;
     json::Value artifact =
@@ -959,7 +997,8 @@ TEST(ExperimentRegistry, Fig12LargeGatesSparseMemoryAndCounters)
         << schemaError;
     EXPECT_EQ(artifact["rows"].size(), 3u); // one per device
     std::string report;
-    EXPECT_TRUE(cli::checkBenchCounters(artifact, artifact, &report))
+    EXPECT_TRUE(cli::checkBenchCounters(
+        *cli::findExperiment("fig12-large"), artifact, artifact, &report))
         << report;
 }
 

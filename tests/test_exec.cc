@@ -4,8 +4,8 @@
  * streams: pool lifecycle (shutdown drains the queue), exception
  * propagation through parallelFor and submit, stream independence
  * (no shared prefixes, negligible cross-correlation), and the central
- * guarantee that routeWithTrials / transpileMany produce bit-identical
- * results for every thread count.
+ * guarantee that routeWithTrials produces bit-identical results for
+ * every thread count.
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +20,6 @@
 #include "circuit/consolidate.hh"
 #include "common/exec.hh"
 #include "common/rng.hh"
-#include "mirage/pipeline.hh"
 #include "router/sabre.hh"
 #include "topology/coupling.hh"
 
@@ -285,7 +284,8 @@ TEST(Trials, ThreadCountInvariance)
         router::routeWithTrials(circ, grid, opts);
     expectIdenticalRouteResults(parallel, parallel2);
 
-    // An externally owned pool (the transpileMany path) changes nothing.
+    // An externally owned pool (the serve engine's path) changes
+    // nothing.
     exec::ThreadPool pool(3);
     opts.threads = 1;
     opts.pool = &pool;
@@ -310,32 +310,4 @@ TEST(Trials, ThreadCountInvarianceSwapPostSelect)
     router::RouteResult parallel =
         router::routeWithTrials(circ, line, opts);
     expectIdenticalRouteResults(serial, parallel);
-}
-
-TEST(TranspileMany, MatchesIndividualTranspile)
-{
-    auto grid = CouplingMap::grid(3, 3);
-    std::vector<Circuit> batch;
-    batch.push_back(bench::qft(6, true));
-    batch.push_back(bench::ghz(7));
-    batch.push_back(bench::wstate(5));
-
-    mirage_pass::TranspileOptions opts;
-    opts.tryVf2 = false;
-    opts.layoutTrials = 3;
-    opts.swapTrials = 2;
-
-    opts.threads = 4;
-    auto batched = mirage_pass::transpileMany(batch, grid, opts);
-    ASSERT_EQ(batched.size(), batch.size());
-
-    opts.threads = 1;
-    for (size_t i = 0; i < batch.size(); ++i) {
-        auto solo = mirage_pass::transpile(batch[i], grid, opts);
-        expectIdenticalCircuits(batched[i].routed, solo.routed);
-        EXPECT_TRUE(batched[i].initial == solo.initial);
-        EXPECT_TRUE(batched[i].final == solo.final);
-        EXPECT_EQ(batched[i].swapsAdded, solo.swapsAdded);
-        EXPECT_EQ(batched[i].metrics.depth, solo.metrics.depth);
-    }
 }

@@ -3,8 +3,9 @@
  * Concurrency and cache-persistence tests for the basis-lowering stage.
  *
  * The equivalence library's contract is that sharing never changes
- * output: one library may serve every circuit of a transpileMany batch
- * and every thread of the trial engine, and a cache saved from one
+ * output: one library may serve a loop of transpile() calls (the way
+ * the serve engine shares it) and every thread of the trial engine,
+ * and a cache saved from one
  * library and loaded into a fresh one must reproduce bit-identical
  * circuits with zero new fits. These tests pin all three properties --
  * thread-count invariance through the pipeline, raw concurrent
@@ -51,6 +52,19 @@ loweringOptions(int threads)
     return opts;
 }
 
+/** transpile() each circuit in turn with one options set, so the
+ * library and pool in `opts` are shared across the loop. */
+std::vector<mirage_pass::TranspileResult>
+transpileEach(const std::vector<Circuit> &circuits,
+              const CouplingMap &coupling,
+              const mirage_pass::TranspileOptions &opts)
+{
+    std::vector<mirage_pass::TranspileResult> results;
+    for (const Circuit &c : circuits)
+        results.push_back(mirage_pass::transpile(c, coupling, opts));
+    return results;
+}
+
 void
 expectStatsEqual(const TranslateStats &a, const TranslateStats &b)
 {
@@ -64,19 +78,22 @@ expectStatsEqual(const TranslateStats &a, const TranslateStats &b)
 
 TEST(LoweringConcurrency, SharedLibraryBatchIsThreadCountInvariant)
 {
-    // One shared library per run; the lowered circuits must be
-    // bit-identical between threads=1 and threads=4.
+    // One shared library per run (and one shared 4-thread pool for
+    // the parallel run); the lowered circuits must be bit-identical
+    // between threads=1 and threads=4.
     auto circuits = smallBatch();
     auto line = CouplingMap::line(4);
 
     EquivalenceLibrary lib1(2), lib4(2);
+    exec::ThreadPool pool(4);
     auto opts1 = loweringOptions(1);
     opts1.equivalenceLibrary = &lib1;
     auto opts4 = loweringOptions(4);
     opts4.equivalenceLibrary = &lib4;
+    opts4.pool = &pool;
 
-    auto serial = mirage_pass::transpileMany(circuits, line, opts1);
-    auto parallel = mirage_pass::transpileMany(circuits, line, opts4);
+    auto serial = transpileEach(circuits, line, opts1);
+    auto parallel = transpileEach(circuits, line, opts4);
 
     ASSERT_EQ(serial.size(), parallel.size());
     for (size_t i = 0; i < serial.size(); ++i) {
@@ -95,7 +112,7 @@ TEST(LoweringConcurrency, SharedLibraryBatchIsThreadCountInvariant)
 
 TEST(LoweringConcurrency, SharedLibraryMatchesPrivateLibraries)
 {
-    // A batch sharing one library must produce the same circuits as
+    // A loop sharing one library must produce the same circuits as
     // standalone transpile() calls that each build a private library:
     // cached fits are pure functions of the target unitary.
     auto circuits = smallBatch();
@@ -104,7 +121,7 @@ TEST(LoweringConcurrency, SharedLibraryMatchesPrivateLibraries)
     EquivalenceLibrary shared(2);
     auto shared_opts = loweringOptions(1);
     shared_opts.equivalenceLibrary = &shared;
-    auto batch = mirage_pass::transpileMany(circuits, line, shared_opts);
+    auto batch = transpileEach(circuits, line, shared_opts);
 
     auto private_opts = loweringOptions(1);
     for (size_t i = 0; i < circuits.size(); ++i) {
@@ -172,7 +189,7 @@ TEST(LoweringConcurrency, CacheRoundTripIsBitIdenticalWithZeroNewFits)
     EquivalenceLibrary warm(2);
     auto opts = loweringOptions(1);
     opts.equivalenceLibrary = &warm;
-    auto first = mirage_pass::transpileMany(circuits, line, opts);
+    auto first = transpileEach(circuits, line, opts);
 
     std::stringstream cache;
     warm.saveCache(cache);
@@ -186,7 +203,7 @@ TEST(LoweringConcurrency, CacheRoundTripIsBitIdenticalWithZeroNewFits)
     uint64_t fits_before = reloaded.fitCount();
     auto opts2 = loweringOptions(1);
     opts2.equivalenceLibrary = &reloaded;
-    auto second = mirage_pass::transpileMany(circuits, line, opts2);
+    auto second = transpileEach(circuits, line, opts2);
     EXPECT_EQ(reloaded.fitCount(), fits_before)
         << "warm-started library performed new fits";
 
