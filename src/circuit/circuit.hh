@@ -25,7 +25,6 @@ class Circuit
 
     int numQubits() const { return numQubits_; }
     const std::string &name() const { return name_; }
-    void setName(std::string n) { name_ = std::move(n); }
 
     const std::vector<Gate> &gates() const { return gates_; }
     std::vector<Gate> &gates() { return gates_; }

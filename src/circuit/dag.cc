@@ -43,15 +43,6 @@ DagCircuit::DagCircuit(const Circuit &circuit)
     }
 }
 
-std::vector<int>
-DagCircuit::topologicalOrder() const
-{
-    std::vector<int> order(nodes_.size());
-    for (size_t i = 0; i < nodes_.size(); ++i)
-        order[i] = int(i);
-    return order;
-}
-
 int
 DagCircuit::twoQubitDepth() const
 {

@@ -39,9 +39,6 @@ class DagCircuit
     /** Nodes with no predecessors. */
     const std::vector<int> &roots() const { return roots_; }
 
-    /** Topological order (construction order is already topological). */
-    std::vector<int> topologicalOrder() const;
-
     /**
      * Unit-weight longest path length counting only 2Q nodes (1Q nodes
      * have zero weight), i.e. the 2Q-depth of the circuit.

@@ -230,28 +230,16 @@ cmdSweep(const std::vector<std::string> &args, std::ostream &out,
                      "registered experiment to run (see --list)");
     parser.addOption("--out", "DIR", ".",
                      "directory for the emitted artifacts");
-    parser.addOption("--seeds", "N", "",
-                     "independent instances averaged (experiment "
-                     "default when omitted)");
-    parser.addOption("--trials", "N", "", "layout trials (default: "
-                     "experiment)");
-    parser.addOption("--swap-trials", "N", "",
-                     "routing repeats per layout (default: experiment)");
-    parser.addOption("--fwd-bwd", "N", "",
-                     "layout refinement rounds (default: experiment)");
-    parser.addOption("--threads", "N", "1",
-                     "trial-grid worker threads (0 = all cores)");
-    parser.addOption("--mc-iters", "N", "",
-                     "Monte-Carlo iterations (fig5, table2)");
-    parser.addOption("--limit", "N", "",
-                     "first N suite entries / widths (default: all)");
-    parser.addOption("--cache", "DIR", "",
-                     "equivalence-library cache directory shared across "
-                     "runs (table3, mirror-rb, mirror-qv)");
-    parser.addOption("--catalog", "FILE", "",
-                     "fit catalog warm-starting lowering experiments "
-                     "('none' disables; default: $MIRAGE_FIT_CATALOG, "
-                     "then ./FIT_CATALOG.bin when present)");
+    // Each knob's help names the experiments that read it; the rest
+    // reject it. Defaults are per experiment.
+    for (const KnobSpec &s : knobSpecs()) {
+        std::string readers;
+        for (const auto &e : experimentRegistry())
+            if (e.declared(s.knob))
+                readers += (readers.empty() ? "" : ", ") + e.name;
+        parser.addOption(s.flag, s.valueName, "",
+                         std::string(s.help) + "; read by " + readers);
+    }
     parser.addOption("--check", "FILE", "",
                      "baseline artifact; exit 1 if a gated counter rose "
                      "(counter-gated experiments only)");
@@ -289,17 +277,19 @@ cmdSweep(const std::vector<std::string> &args, std::ostream &out,
     }
 
     SweepKnobs knobs;
-    for (auto [flag, slot] : {std::pair{"--seeds", &knobs.seeds},
-                              {"--trials", &knobs.layoutTrials},
-                              {"--swap-trials", &knobs.swapTrials},
-                              {"--fwd-bwd", &knobs.fwdBwd},
-                              {"--mc-iters", &knobs.mcIterations},
-                              {"--limit", &knobs.suiteLimit}})
-        if (parser.optionSeen(flag))
-            *slot = parser.intOption(flag, 1);
-    knobs.threads = parser.intOption("--threads", 0);
-    knobs.cacheDir = validateCacheDir(parser.option("--cache"));
-    knobs.catalogPath = parser.option("--catalog");
+    for (const KnobSpec &s : knobSpecs()) {
+        if (!parser.optionSeen(s.flag))
+            continue;
+        if (s.text)
+            knobs.*s.text = parser.option(s.flag);
+        else
+            knobs.*s.number =
+                parser.intOption(s.flag, s.knob == Knob::Threads ? 0 : 1);
+    }
+    // Reject a knob the experiment does not read before any work (or
+    // creating a --cache directory it would never use).
+    resolveKnobs(*experiment, knobs);
+    knobs.cacheDir = validateCacheDir(knobs.cacheDir);
 
     // Read the baseline BEFORE writing the fresh artifact: the two
     // paths may coincide, and writing first would make the gate

@@ -17,6 +17,7 @@
 #include "bench_circuits/generators.hh"
 #include "bench_circuits/mirror.hh"
 #include "circuit/consolidate.hh"
+#include "cli/args.hh"
 #include "common/exec.hh"
 #include "decomp/catalog.hh"
 #include "decomp/equivalence.hh"
@@ -27,36 +28,40 @@
 
 namespace mirage::cli {
 
-namespace {
-
-/** Knobs with every "experiment default" slot filled in. */
-struct ResolvedKnobs
+SweepKnobs
+resolveKnobs(const Experiment &e, const SweepKnobs &user,
+             json::Value *parameters)
 {
-    int seeds;
-    int layoutTrials;
-    int swapTrials;
-    int fwdBwd;
-    int threads;
-    int mcIterations;
-    std::string cacheDir;
-    std::string catalog; ///< catalog knob (decomp::loadLibrary)
-};
-
-ResolvedKnobs
-resolve(const SweepKnobs &k, int seeds, int trials, int swapTrials,
-        int fwdBwd, int mcIterations = 300)
-{
-    ResolvedKnobs r;
-    r.seeds = k.seeds >= 0 ? k.seeds : seeds;
-    r.layoutTrials = k.layoutTrials >= 0 ? k.layoutTrials : trials;
-    r.swapTrials = k.swapTrials >= 0 ? k.swapTrials : swapTrials;
-    r.fwdBwd = k.fwdBwd >= 0 ? k.fwdBwd : fwdBwd;
-    r.threads = k.threads;
-    r.mcIterations = k.mcIterations >= 0 ? k.mcIterations : mcIterations;
-    r.cacheDir = k.cacheDir;
-    r.catalog = k.catalogPath;
-    return r;
+    SweepKnobs knobs;
+    for (const KnobSpec &s : knobSpecs()) {
+        const KnobDefault *declared = e.declared(s.knob);
+        const bool given =
+            s.number ? user.*s.number >= 0 : !(user.*s.text).empty();
+        if (!declared) {
+            if (!given)
+                continue;
+            std::string reads;
+            for (const KnobSpec &r : knobSpecs())
+                if (e.declared(r.knob))
+                    reads += std::string(reads.empty() ? "" : ", ") + r.flag;
+            throw UsageError(std::string(s.flag) + " is not read by "
+                             "experiment '" + e.name + "' (it reads " +
+                             (reads.empty() ? "no knobs" : reads) + ")");
+        }
+        if (s.text) {
+            knobs.*s.text = user.*s.text;
+            if (parameters && s.parameter && given)
+                parameters->set(s.parameter, knobs.*s.text);
+        } else {
+            knobs.*s.number = given ? user.*s.number : declared->value;
+            if (parameters && s.parameter)
+                parameters->set(s.parameter, knobs.*s.number);
+        }
+    }
+    return knobs;
 }
+
+namespace {
 
 /** How many of `available` suite entries a run covers (--limit). */
 size_t
@@ -64,22 +69,6 @@ limitedCount(const SweepKnobs &k, size_t available)
 {
     return k.suiteLimit >= 0 ? std::min(size_t(k.suiteLimit), available)
                              : available;
-}
-
-json::Value
-parametersJson(const ResolvedKnobs &k, bool withMc = false)
-{
-    json::Value p = json::Value::object();
-    p.set("seeds", k.seeds);
-    p.set("layoutTrials", k.layoutTrials);
-    p.set("swapTrials", k.swapTrials);
-    p.set("forwardBackwardPasses", k.fwdBwd);
-    p.set("threads", k.threads);
-    if (withMc)
-        p.set("mcIterations", k.mcIterations);
-    if (!k.cacheDir.empty())
-        p.set("cacheDir", k.cacheDir);
-    return p;
 }
 
 /** Column descriptor: key into the row objects + table label. */
@@ -98,7 +87,7 @@ column(const char *key, const char *label, int digits = -1,
 }
 
 mirage_pass::TranspileOptions
-sweepOptions(mirage_pass::Flow flow, uint64_t seed, const ResolvedKnobs &k)
+sweepOptions(mirage_pass::Flow flow, uint64_t seed, const SweepKnobs &k)
 {
     mirage_pass::TranspileOptions o;
     o.flow = flow;
@@ -147,7 +136,7 @@ struct SweepStats
 SweepStats
 runSweep(const std::string &bench_name,
          const topology::CouplingMap &coupling, mirage_pass::Flow flow,
-         const ResolvedKnobs &knobs, int fixed_aggression = -1)
+         const SweepKnobs &knobs, int fixed_aggression = -1)
 {
     SweepStats s;
     double log_depth = 0;
@@ -202,7 +191,7 @@ setCatalogSummary(json::Value &summary, const decomp::CatalogLoad &use)
  * k for CNOT and the iSWAP roots, with and without mirrors.
  */
 json::Value
-runFig3to4(const SweepKnobs &)
+runFig3to4(const SweepKnobs &, json::Value &)
 {
     json::Value rows = json::Value::array();
     json::Value fullK = json::Value::object();
@@ -230,7 +219,6 @@ runFig3to4(const SweepKnobs &)
     }
 
     json::Value out = json::Value::object();
-    out.set("parameters", json::Value::object());
     json::Value cols = json::Value::array();
     cols.push(column("basis", "basis"));
     cols.push(column("duration", "duration", 3));
@@ -255,9 +243,8 @@ runFig3to4(const SweepKnobs &)
  * exact polytope-integration references.
  */
 json::Value
-runFig5(const SweepKnobs &userKnobs)
+runFig5(const SweepKnobs &knobs, json::Value &)
 {
-    ResolvedKnobs knobs = resolve(userKnobs, 1, 0, 0, 0);
     const monodromy::CoverageSet &cs = monodromy::coverageForRootIswap(4);
     const int iters = knobs.mcIterations;
 
@@ -309,9 +296,6 @@ runFig5(const SweepKnobs &userKnobs)
     }
 
     json::Value out = json::Value::object();
-    json::Value params = json::Value::object();
-    params.set("mcIterations", iters);
-    out.set("parameters", std::move(params));
     json::Value cols = json::Value::array();
     cols.push(column("iteration", "iteration"));
     cols.push(column("exact", "exact", 4));
@@ -341,7 +325,7 @@ runFig5(const SweepKnobs &userKnobs)
  * its pSWAP mirror needs k=3 except at the CNOT/iSWAP endpoint.
  */
 json::Value
-runFig6(const SweepKnobs &)
+runFig6(const SweepKnobs &, json::Value &)
 {
     monodromy::CostModel cm = monodromy::makeRootIswapCostModel(2);
     json::Value rows = json::Value::array();
@@ -361,7 +345,6 @@ runFig6(const SweepKnobs &)
     }
 
     json::Value out = json::Value::object();
-    out.set("parameters", json::Value::object());
     json::Value cols = json::Value::array();
     cols.push(column("phiOverPi", "phi/pi", 3));
     cols.push(column("cpCoords", "CP coords"));
@@ -381,9 +364,8 @@ runFig6(const SweepKnobs &)
 
 /** Fig. 8: TwoLocal(full, 4q) on a 4-qubit line, baseline vs MIRAGE. */
 json::Value
-runFig8(const SweepKnobs &userKnobs)
+runFig8(const SweepKnobs &knobs, json::Value &)
 {
-    ResolvedKnobs knobs = resolve(userKnobs, 1, 8, 4, 2);
     auto circ = bench::twoLocalFull(4, 1, 7);
     auto line = topology::CouplingMap::line(4);
 
@@ -413,7 +395,6 @@ runFig8(const SweepKnobs &userKnobs)
     }
 
     json::Value out = json::Value::object();
-    out.set("parameters", parametersJson(knobs));
     json::Value cols = json::Value::array();
     cols.push(column("flow", "flow"));
     cols.push(column("depthPulses", "pulses(sqiSW)", 1));
@@ -436,9 +417,8 @@ runFig8(const SweepKnobs &userKnobs)
  * trials and post-selects on depth.
  */
 json::Value
-runFig9(const SweepKnobs &userKnobs)
+runFig9(const SweepKnobs &knobs, json::Value &)
 {
-    ResolvedKnobs knobs = resolve(userKnobs, 1, 64, 1, 0);
     const auto line = topology::CouplingMap::line(4);
     const auto cost = monodromy::makeRootIswapCostModel(2);
     const auto consolidated =
@@ -468,9 +448,6 @@ runFig9(const SweepKnobs &userKnobs)
     }
 
     json::Value out = json::Value::object();
-    json::Value params = json::Value::object();
-    params.set("layoutTrials", knobs.layoutTrials);
-    out.set("parameters", std::move(params));
     json::Value cols = json::Value::array();
     cols.push(column("depthPulses", "depth(pulses)"));
     cols.push(column("trials", "trials"));
@@ -492,9 +469,8 @@ runFig9(const SweepKnobs &userKnobs)
 
 /** Fig. 10: fixed aggression levels vs baseline on four circuits. */
 json::Value
-runFig10(const SweepKnobs &userKnobs)
+runFig10(const SweepKnobs &knobs, json::Value &)
 {
-    ResolvedKnobs knobs = resolve(userKnobs, 3, 12, 4, 2);
     auto grid = topology::CouplingMap::grid(6, 6);
     const char *names[] = {"wstate_n27", "bigadder_n18", "qft_n18",
                            "bv_n30"};
@@ -522,7 +498,6 @@ runFig10(const SweepKnobs &userKnobs)
     }
 
     json::Value out = json::Value::object();
-    out.set("parameters", parametersJson(knobs));
     json::Value cols = json::Value::array();
     cols.push(column("circuit", "circuit"));
     cols.push(column("qiskit", "qiskit", 1));
@@ -556,9 +531,8 @@ suiteCircuits()
 
 /** Fig. 11: SWAP-count vs estimated-depth post-selection. */
 json::Value
-runFig11(const SweepKnobs &userKnobs)
+runFig11(const SweepKnobs &knobs, json::Value &)
 {
-    ResolvedKnobs knobs = resolve(userKnobs, 3, 12, 4, 2);
     auto grid = topology::CouplingMap::grid(6, 6);
 
     json::Value rows = json::Value::array();
@@ -588,7 +562,6 @@ runFig11(const SweepKnobs &userKnobs)
     }
 
     json::Value out = json::Value::object();
-    out.set("parameters", parametersJson(knobs));
     json::Value cols = json::Value::array();
     cols.push(column("circuit", "circuit"));
     cols.push(column("qiskit", "qiskit", 1));
@@ -614,9 +587,8 @@ runFig11(const SweepKnobs &userKnobs)
 
 /** Fig. 12: end-to-end comparison on heavy-hex 57Q and the 6x6 grid. */
 json::Value
-runFig12(const SweepKnobs &userKnobs)
+runFig12(const SweepKnobs &knobs, json::Value &)
 {
-    ResolvedKnobs knobs = resolve(userKnobs, 3, 12, 4, 2);
 
     json::Value rows = json::Value::array();
     json::Value summary = json::Value::object();
@@ -669,7 +641,6 @@ runFig12(const SweepKnobs &userKnobs)
     }
 
     json::Value out = json::Value::object();
-    out.set("parameters", parametersJson(knobs));
     json::Value cols = json::Value::array();
     cols.push(column("topology", "topology"));
     cols.push(column("circuit", "circuit"));
@@ -694,7 +665,7 @@ runFig12(const SweepKnobs &userKnobs)
  * experiments.
  */
 json::Value
-runFig13(const SweepKnobs &)
+runFig13(const SweepKnobs &, json::Value &)
 {
     const auto grid = topology::CouplingMap::grid(8, 8);
 
@@ -759,7 +730,6 @@ runFig13(const SweepKnobs &)
     }
 
     json::Value out = json::Value::object();
-    out.set("parameters", json::Value::object());
     json::Value cols = json::Value::array();
     cols.push(column("stage", "stage"));
     cols.push(column("qubits", "qubits"));
@@ -787,14 +757,8 @@ runFig13(const SweepKnobs &)
 
 /** Tables I/II: Haar scores, exact or Monte-Carlo approximate. */
 json::Value
-runHaarTable(const SweepKnobs &userKnobs, bool approximate)
+runHaarTable(const SweepKnobs &knobs, bool approximate)
 {
-    ResolvedKnobs knobs = resolve(userKnobs, 1, 0, 0, 0);
-
-    json::Value params = json::Value::object();
-    if (approximate)
-        params.set("mcIterations", knobs.mcIterations);
-
     json::Value rows = json::Value::array();
     for (int n : {2, 3, 4}) {
         const monodromy::CoverageSet &cs =
@@ -823,7 +787,6 @@ runHaarTable(const SweepKnobs &userKnobs, bool approximate)
     }
 
     json::Value out = json::Value::object();
-    out.set("parameters", std::move(params));
     json::Value cols = json::Value::array();
     cols.push(column("basis", "basis"));
     cols.push(column("haar", "haar", 4));
@@ -841,30 +804,42 @@ runHaarTable(const SweepKnobs &userKnobs, bool approximate)
     return out;
 }
 
-/** Table III: suite inventory + measured sqrt(iSWAP) pulse counts. */
-json::Value
-runTable3(const SweepKnobs &userKnobs)
+/** The first --limit Table III circuits (all of them when unset). */
+std::vector<circuit::Circuit>
+limitedSuite(const SweepKnobs &knobs)
 {
-    ResolvedKnobs knobs = resolve(userKnobs, 1, 8, 2, 2);
-    const auto grid = topology::CouplingMap::grid(8, 8);
-
     const auto &suite = bench::paperBenchmarks();
-    const size_t limit = limitedCount(userKnobs, suite.size());
     std::vector<circuit::Circuit> circuits;
-    for (size_t i = 0; i < limit; ++i)
+    for (size_t i = 0; i < limitedCount(knobs, suite.size()); ++i)
         circuits.push_back(suite[i].make());
+    return circuits;
+}
 
+/**
+ * Table III: suite inventory + measured sqrt(iSWAP) pulse counts.
+ * Lowers through `shared` when given (the catalog build), else through
+ * a library from --catalog/--cache.
+ */
+json::Value
+runTable3(const SweepKnobs &knobs,
+          decomp::EquivalenceLibrary *shared = nullptr)
+{
+    const auto &suite = bench::paperBenchmarks();
+    const auto circuits = limitedSuite(knobs);
+    decomp::CatalogLoad catalog;
+    auto own = shared ? nullptr
+                      : decomp::loadLibrary(2, knobs.catalogPath,
+                                            knobs.cacheDir, &catalog);
+    decomp::EquivalenceLibrary &lib = shared ? *shared : *own;
     auto opts = sweepOptions(mirage_pass::Flow::MirageDepth, 0xB3, knobs);
     opts.lowerToBasis = true;
-    decomp::CatalogLoad catalog;
-    auto lib = decomp::loadLibrary(opts.rootDegree, knobs.catalog,
-                                   knobs.cacheDir, &catalog);
-    opts.equivalenceLibrary = lib.get();
+    opts.equivalenceLibrary = &lib;
 
     auto t0 = std::chrono::steady_clock::now();
-    auto results = transpileAll(circuits, grid, opts);
+    auto results =
+        transpileAll(circuits, topology::CouplingMap::grid(8, 8), opts);
     double elapsed_ms = millisSince(t0);
-    decomp::saveLibraryCache(*lib, knobs.cacheDir);
+    decomp::saveLibraryCache(lib, knobs.cacheDir);
 
     json::Value rows = json::Value::array();
     bool all_equal = true;
@@ -896,7 +871,6 @@ runTable3(const SweepKnobs &userKnobs)
     }
 
     json::Value out = json::Value::object();
-    out.set("parameters", parametersJson(knobs));
     json::Value cols = json::Value::array();
     cols.push(column("name", "name"));
     cols.push(column("class", "class"));
@@ -915,10 +889,10 @@ runTable3(const SweepKnobs &userKnobs)
     summary.set("measuredEqualsEstimated", all_equal);
     summary.set("worstInfidelity", worst_inf);
     summary.set("elapsedMs", elapsed_ms);
-    summary.set("fits", uint64_t(lib->fitCount()));
+    summary.set("fits", uint64_t(lib.fitCount()));
     summary.set("newFits", new_fits);
     summary.set("fitEvaluations", fit_evals);
-    summary.set("cachedDecompositions", uint64_t(lib->cacheSize()));
+    summary.set("cachedDecompositions", uint64_t(lib.cacheSize()));
     setCatalogSummary(summary, catalog);
     out.set("summary", std::move(summary));
     out.set("notes",
@@ -945,22 +919,15 @@ runTable3(const SweepKnobs &userKnobs)
  * never silently go cold again.
  */
 json::Value
-runBenchLowering(const SweepKnobs &userKnobs)
+runBenchLowering(const SweepKnobs &knobs, json::Value &parameters)
 {
-    ResolvedKnobs knobs = resolve(userKnobs, 1, 8, 2, 2);
-    const auto grid = topology::CouplingMap::grid(8, 8);
-
     const auto &suite = bench::paperBenchmarks();
-    const size_t limit = limitedCount(userKnobs, suite.size());
-    std::vector<circuit::Circuit> circuits;
-    for (size_t i = 0; i < limit; ++i)
-        circuits.push_back(suite[i].make());
-
     // Route once (table3's exact config); lowering is then isolated
     // from routing cost and measured per circuit, sequentially, so the
     // counters cannot be split across threads.
-    auto opts = sweepOptions(mirage_pass::Flow::MirageDepth, 0xB3, knobs);
-    auto routed = transpileAll(circuits, grid, opts);
+    auto routed = transpileAll(
+        limitedSuite(knobs), topology::CouplingMap::grid(8, 8),
+        sweepOptions(mirage_pass::Flow::MirageDepth, 0xB3, knobs));
 
     decomp::EquivalenceLibrary cold(2);
     std::vector<decomp::TranslateStats> cold_stats(routed.size());
@@ -972,7 +939,7 @@ runBenchLowering(const SweepKnobs &userKnobs)
     }
 
     decomp::CatalogLoad catalog;
-    auto warm_lib = decomp::loadLibrary(2, knobs.catalog, "", &catalog,
+    auto warm_lib = decomp::loadLibrary(2, knobs.catalogPath, "", &catalog,
                                         /*preseed_fallback=*/false);
     decomp::EquivalenceLibrary &warm = warm_lib ? *warm_lib : cold;
 
@@ -1005,9 +972,7 @@ runBenchLowering(const SweepKnobs &userKnobs)
     }
 
     json::Value out = json::Value::object();
-    json::Value params = parametersJson(knobs);
-    params.set("circuits", uint64_t(routed.size()));
-    out.set("parameters", std::move(params));
+    parameters.set("circuits", uint64_t(routed.size()));
     json::Value cols = json::Value::array();
     cols.push(column("name", "name"));
     cols.push(column("qubits", "qubits"));
@@ -1050,19 +1015,18 @@ runBenchLowering(const SweepKnobs &userKnobs)
  * while the wall times track the actual speedups per machine.
  */
 json::Value
-runBenchRouting(const SweepKnobs &userKnobs)
+runBenchRouting(const SweepKnobs &knobs, json::Value &parameters)
 {
-    ResolvedKnobs knobs = resolve(userKnobs, 1, 8, 2, 2);
     const auto grid = topology::CouplingMap::grid(8, 8);
     const auto &suite = bench::paperBenchmarks();
-    const size_t limit = limitedCount(userKnobs, suite.size());
+    const auto circuits = limitedSuite(knobs);
 
     json::Value rows = json::Value::array();
     bool identical = true;
     double serial_ms = 0, parallel_ms = 0;
     uint64_t total_evals = 0, total_stalls = 0;
-    for (size_t i = 0; i < limit; ++i) {
-        auto circ = suite[i].make();
+    for (size_t i = 0; i < circuits.size(); ++i) {
+        const circuit::Circuit &circ = circuits[i];
         auto opts =
             sweepOptions(mirage_pass::Flow::MirageDepth, 0xF13, knobs);
         opts.threads = 1;
@@ -1097,9 +1061,7 @@ runBenchRouting(const SweepKnobs &userKnobs)
     }
 
     json::Value out = json::Value::object();
-    json::Value params = parametersJson(knobs);
-    params.set("circuits", uint64_t(limit));
-    out.set("parameters", std::move(params));
+    parameters.set("circuits", uint64_t(circuits.size()));
     json::Value cols = json::Value::array();
     cols.push(column("name", "name"));
     cols.push(column("qubits", "qubits"));
@@ -1142,12 +1104,8 @@ runBenchRouting(const SweepKnobs &userKnobs)
  * --experiment fig12-large --check` gates regressions the same way.
  */
 json::Value
-runFig12Large(const SweepKnobs &userKnobs)
+runFig12Large(const SweepKnobs &knobs, json::Value &parameters)
 {
-    // Small knob defaults: a single routed pass per direction is enough
-    // for the counter gate, and keeps the 1121-qubit sweep in CI
-    // seconds territory.
-    ResolvedKnobs knobs = resolve(userKnobs, 1, 2, 1, 1);
     const std::vector<topology::CouplingMap> devices = {
         topology::CouplingMap::heavyHex433(),
         topology::CouplingMap::heavyHex1121(),
@@ -1157,7 +1115,7 @@ runFig12Large(const SweepKnobs &userKnobs)
     // ms-per-gate across rows tracks route-time scaling in gate count.
     const std::vector<std::string> circuits = {
         "wstate_n27", "knn_n25", "multiplier_n15", "qft_n18"};
-    const size_t limit = limitedCount(userKnobs, circuits.size());
+    const size_t limit = limitedCount(knobs, circuits.size());
 
     json::Value rows = json::Value::array();
     json::Value topo_summaries = json::Value::array();
@@ -1227,9 +1185,7 @@ runFig12Large(const SweepKnobs &userKnobs)
     }
 
     json::Value out = json::Value::object();
-    json::Value params = parametersJson(knobs);
-    params.set("circuits", uint64_t(limit));
-    out.set("parameters", std::move(params));
+    parameters.set("circuits", uint64_t(limit));
     json::Value cols = json::Value::array();
     cols.push(column("name", "name"));
     cols.push(column("deviceQubits", "device-q"));
@@ -1279,19 +1235,23 @@ loweredSuccessTolerance(double root_infidelity_sum)
  * lowered to RootISWAP pulses, and the ideal bitstring's probability is
  * measured on BOTH the routed and the lowered circuit by sparse
  * simulation; `verified` requires routed ~exact and lowered within the
- * fit-error budget.
+ * fit-error budget. Lowers through `shared` when given (the catalog
+ * build), else through a library from --catalog/--cache.
  */
 json::Value
-runMirrorFamily(const SweepKnobs &userKnobs, bool qv)
+runMirrorFamily(const SweepKnobs &knobs, json::Value &parameters, bool qv,
+                decomp::EquivalenceLibrary *shared = nullptr)
 {
-    ResolvedKnobs knobs = resolve(userKnobs, 1, 4, 2, 1);
     const auto topo = topology::CouplingMap::heavyHex57();
     std::vector<int> widths =
         qv ? std::vector<int>{8, 10, 12} : std::vector<int>{8, 10, 14};
-    widths.resize(limitedCount(userKnobs, widths.size()));
+    widths.resize(limitedCount(knobs, widths.size()));
 
     decomp::CatalogLoad catalog;
-    auto lib = decomp::loadLibrary(2, knobs.catalog, knobs.cacheDir, &catalog);
+    auto own = shared ? nullptr
+                      : decomp::loadLibrary(2, knobs.catalogPath,
+                                            knobs.cacheDir, &catalog);
+    decomp::EquivalenceLibrary &lib = shared ? *shared : *own;
 
     json::Value rows = json::Value::array();
     bool all_verified = true;
@@ -1310,7 +1270,7 @@ runMirrorFamily(const SweepKnobs &userKnobs, bool qv)
             auto opts = sweepOptions(mirage_pass::Flow::MirageDepth,
                                      route_seed, knobs);
             opts.lowerToBasis = true;
-            opts.equivalenceLibrary = lib.get();
+            opts.equivalenceLibrary = &lib;
             auto res = mirage_pass::transpile(mc.circuit, topo, opts);
 
             const auto &l2p = res.final.logicalToPhysical();
@@ -1343,13 +1303,11 @@ runMirrorFamily(const SweepKnobs &userKnobs, bool qv)
             rows.push(std::move(row));
         }
     }
-    decomp::saveLibraryCache(*lib, knobs.cacheDir);
+    decomp::saveLibraryCache(lib, knobs.cacheDir);
 
     json::Value out = json::Value::object();
-    json::Value params = parametersJson(knobs);
-    params.set("topology", topo.name());
-    params.set("widths", uint64_t(widths.size()));
-    out.set("parameters", std::move(params));
+    parameters.set("topology", topo.name());
+    parameters.set("widths", uint64_t(widths.size()));
     json::Value cols = json::Value::array();
     cols.push(column("circuit", "circuit"));
     cols.push(column("qubits", "qubits"));
@@ -1390,10 +1348,8 @@ runMirrorFamily(const SweepKnobs &userKnobs, bool qv)
  * smoke shape); their routed circuits are bitstring-checked per cell.
  */
 json::Value
-runMatrix(const SweepKnobs &userKnobs)
+runMatrix(const SweepKnobs &knobs, json::Value &parameters)
 {
-    ResolvedKnobs knobs = resolve(userKnobs, 1, 2, 2, 1);
-
     struct Workload
     {
         std::string name;
@@ -1408,7 +1364,7 @@ runMatrix(const SweepKnobs &userKnobs)
     suite.push_back({qv.circuit.name(), 10, qv.circuit, qv.bitstring});
     for (const auto &b : bench::paperBenchmarks())
         suite.push_back({b.name, b.qubits, b.make(), {}});
-    suite.resize(limitedCount(userKnobs, suite.size()));
+    suite.resize(limitedCount(knobs, suite.size()));
 
     const std::vector<topology::CouplingMap> topologies = {
         topology::CouplingMap::grid(6, 6),
@@ -1461,9 +1417,7 @@ runMatrix(const SweepKnobs &userKnobs)
     }
 
     json::Value out = json::Value::object();
-    json::Value params = parametersJson(knobs);
-    params.set("workloads", uint64_t(suite.size()));
-    out.set("parameters", std::move(params));
+    parameters.set("workloads", uint64_t(suite.size()));
     json::Value cols = json::Value::array();
     cols.push(column("circuit", "circuit"));
     cols.push(column("qubits", "qubits"));
@@ -1498,9 +1452,47 @@ runMatrix(const SweepKnobs &userKnobs)
 
 } // namespace
 
+const std::vector<KnobSpec> &
+knobSpecs()
+{
+    using enum Knob;
+    using K = SweepKnobs;
+    static const std::vector<KnobSpec> specs = {
+        {Seeds, "--seeds", "N", "independent instances averaged", "seeds",
+         true, &K::seeds},
+        {Trials, "--trials", "N", "layout trials", "layoutTrials", true,
+         &K::layoutTrials},
+        {SwapTrials, "--swap-trials", "N", "routing repeats per layout",
+         "swapTrials", true, &K::swapTrials},
+        {FwdBwd, "--fwd-bwd", "N", "layout refinement rounds",
+         "forwardBackwardPasses", true, &K::fwdBwd},
+        // Counters are thread-invariant, so --check ignores --threads.
+        {Threads, "--threads", "N", "trial-grid worker threads (0 = all "
+         "cores)", "threads", false, &K::threads},
+        {McIters, "--mc-iters", "N", "Monte-Carlo iterations",
+         "mcIterations", true, &K::mcIterations},
+        {Limit, "--limit", "N", "first N suite entries / widths (default: "
+         "all)", nullptr, false, &K::suiteLimit},
+        {Cache, "--cache", "DIR", "equivalence-library cache directory "
+         "shared across runs", "cacheDir", false, nullptr, &K::cacheDir},
+        {Catalog, "--catalog", "FILE", "fit catalog warm-starting lowering "
+         "('none' disables; default: $MIRAGE_FIT_CATALOG, then "
+         "./FIT_CATALOG.bin when present)", nullptr, false, nullptr,
+         &K::catalogPath},
+    };
+    return specs;
+}
+
 const std::vector<Experiment> &
 experimentRegistry()
 {
+    using enum Knob;
+    // The paper's routing sweep (Figs. 10-12) and the mirror families.
+    const std::vector<KnobDefault> paperSweep = {
+        {Seeds, 3}, {Trials, 12}, {SwapTrials, 4}, {FwdBwd, 2}, {Threads, 1}};
+    const std::vector<KnobDefault> mirror = {
+        {Seeds, 1}, {Trials, 4}, {SwapTrials, 2}, {FwdBwd, 1},
+        {Threads, 1}, {Limit}, {Cache}, {Catalog}};
     static const std::vector<Experiment> registry = {
         {"fig3-4", "Figures 3-4",
          "Haar coverage of the monodromy polytopes, with and without "
@@ -1513,7 +1505,8 @@ experimentRegistry()
          "Monte-Carlo Haar-score convergence for the 4th root of iSWAP",
          "paper: exact ~0.96, exact+mirrors ~0.90, approx+mirrors < "
          "0.86",
-         runFig5},
+         runFig5,
+         {{McIters, 300}}},
         {"fig6", "Figure 6",
          "CPHASE vs its pSWAP mirror against the sqrt(iSWAP) coverage",
          "paper: CNOT and its iSWAP mirror both need k=2; fractional "
@@ -1521,28 +1514,33 @@ experimentRegistry()
          runFig6},
         {"fig8", "Figure 8",
          "TwoLocal(full, 4q) on a 4-qubit line: baseline vs MIRAGE",
-         "paper: 16 pulses / 3 SWAPs vs 10 pulses / 0 SWAPs", runFig8},
+         "paper: 16 pulses / 3 SWAPs vs 10 pulses / 0 SWAPs", runFig8,
+         {{Trials, 8}, {SwapTrials, 4}, {FwdBwd, 2}, {Threads, 1}}},
         {"fig9", "Figure 9",
          "Greedy local minima across routing trials from one layout",
          "paper: trials from the same layout land in different minima "
          "(6 vs 7+ pulses on its subset); post-selection keeps the best",
-         runFig9},
+         runFig9,
+         {{Trials, 64}}},
         {"fig10", "Figure 10",
          "Fixed mirror-aggression levels vs the Qiskit baseline",
          "paper: no single aggression level is universally optimal; the "
          "mixed 5/45/45/5 distribution is competitive everywhere",
-         runFig10},
+         runFig10,
+         paperSweep},
         {"fig11", "Figure 11",
          "Post-selection metric: SWAP count vs estimated depth",
          "paper: -24.1% average depth (SWAP selection) -> -29.5% (depth "
          "selection), total gates mostly unchanged",
-         runFig11},
+         runFig11,
+         paperSweep},
         {"fig12", "Figure 12",
          "MIRAGE vs Qiskit-SABRE on production topologies",
          "paper: heavy-hex -31.19% depth / -16.97% gates / -56.19% "
          "SWAPs; square lattice -29.58% depth / -10.25% gates / -59.86% "
          "SWAPs",
-         runFig12},
+         runFig12,
+         paperSweep},
         {"fig13", "Figure 13",
          "Transpiler runtime: QFT scaling and the caching ablation",
          "paper: caching keeps MIRAGE runtime competitive with SABRE "
@@ -1554,18 +1552,21 @@ experimentRegistry()
          "Exact Haar scores/fidelities for iSWAP roots, with mirrors",
          "paper: 1.105/0.9890 1.029/0.9897 | 0.9907/0.9901 "
          "0.9545/0.9904 | 0.9599/0.9904 0.8997/0.9910",
-         [](const SweepKnobs &k) { return runHaarTable(k, false); }},
+         [](auto &k, auto &) { return runHaarTable(k, false); }},
         {"table2", "Table II",
          "Approximate (Algorithm 1) Haar scores for iSWAP roots",
          "paper: 1.031/0.9895 0.9950/0.9899 | 0.9433/0.9904 "
          "0.8900/0.9908 | 0.9165/0.9906 0.8453/0.9913",
-         [](const SweepKnobs &k) { return runHaarTable(k, true); }},
+         [](auto &k, auto &) { return runHaarTable(k, true); },
+         {{McIters, 300}}},
         {"table3", "Table III",
          "Benchmark suite inventory with measured sqrt(iSWAP) pulses",
          "paper: Table III reports the suite's 2Q gate counts; this "
          "repo additionally measures the lowered pulse counts "
          "(measured == estimated expected)",
-         runTable3,
+         [](auto &k, auto &) { return runTable3(k); },
+         {{Trials, 8}, {SwapTrials, 2}, {FwdBwd, 2}, {Threads, 1}, {Limit},
+          {Cache}, {Catalog}},
          {},
          {"measuredEqualsEstimated"}},
         {"mirror-rb", "Mirror RB",
@@ -1574,7 +1575,8 @@ experimentRegistry()
          "beyond paper: Proctor et al. mirror circuits; end-to-end "
          "pipeline verification at widths the 6-qubit unitary oracle "
          "cannot reach (allVerified must be true)",
-         [](const SweepKnobs &k) { return runMirrorFamily(k, false); },
+         [](auto &k, auto &p) { return runMirrorFamily(k, p, false); },
+         mirror,
          {},
          {"allVerified"}},
         {"mirror-qv", "Mirror QV",
@@ -1584,7 +1586,8 @@ experimentRegistry()
          "beyond paper: mitiq-style mirror QV; end-to-end pipeline "
          "verification at widths the 6-qubit unitary oracle cannot "
          "reach (allVerified must be true)",
-         [](const SweepKnobs &k) { return runMirrorFamily(k, true); },
+         [](auto &k, auto &p) { return runMirrorFamily(k, p, true); },
+         mirror,
          {},
          {"allVerified"}},
         {"matrix", "Table III (scenario matrix)",
@@ -1593,6 +1596,7 @@ experimentRegistry()
          "beyond paper: full scenario coverage with per-cell depth "
          "reduction and bitstring verification of the mirror workloads",
          runMatrix,
+         {{Trials, 2}, {SwapTrials, 2}, {FwdBwd, 1}, {Threads, 1}, {Limit}},
          {},
          {"allMirrorCellsVerified"}},
         {"bench", "Figure 13 (routing)",
@@ -1602,6 +1606,8 @@ experimentRegistry()
          "many trials (Section VI-C); tracked here as the committed "
          "BENCH_fig13.json trajectory",
          runBenchRouting,
+         // Routes at threads 1 and at all cores: no --threads.
+         {{Trials, 8}, {SwapTrials, 2}, {FwdBwd, 2}, {Limit}},
          {"heuristicEvals", "extSetBuilds"},
          {"outputsBitIdentical"}},
         {"fig12-large", "Figure 12 (large devices)",
@@ -1611,6 +1617,9 @@ experimentRegistry()
          "sweep scales routing to IBM Osprey/Condor-class devices "
          "(tracked as the committed BENCH_large_topo.json trajectory)",
          runFig12Large,
+         // One routed pass per direction is enough for the counter
+         // gate and keeps the 1121-qubit sweep to CI seconds.
+         {{Trials, 2}, {SwapTrials, 1}, {FwdBwd, 1}, {Threads, 1}, {Limit}},
          {"heuristicEvals", "extSetBuilds"}},
         {"bench-lowering", "Figure 13 (lowering)",
          "Lowering cold-start trajectory: cold fits vs the committed "
@@ -1619,6 +1628,9 @@ experimentRegistry()
          "tracked here as the committed BENCH_lowering.json trajectory "
          "(warmNewFits must stay 0)",
          runBenchLowering,
+         // table3's routing config; --catalog picks the warm library.
+         {{Trials, 8}, {SwapTrials, 2}, {FwdBwd, 2}, {Threads, 1}, {Limit},
+          {Catalog}},
          // warmNewFits' baseline is 0, so ANY warm fit is a regression:
          // the committed catalog stopped covering the suite.
          {"fits", "fitEvaluations", "warmNewFits", "warmFitEvaluations"}},
@@ -1629,51 +1641,18 @@ experimentRegistry()
 std::unique_ptr<decomp::EquivalenceLibrary>
 buildCatalogLibrary(int threads)
 {
+    // Each entry runs at its declared defaults over one cold library, so
+    // the catalog holds exactly the fits those default sweeps make.
     auto lib = std::make_unique<decomp::EquivalenceLibrary>(2);
     SweepKnobs user;
     user.threads = threads;
-    user.catalogPath = decomp::kCatalogDisabled; // always build cold
-
-    // Table III target set, at the exact config table3 and
-    // bench-lowering run: 8x8 grid, MirageDepth, seed 0xB3,
-    // trials 8/2/2.
-    {
-        ResolvedKnobs knobs = resolve(user, 1, 8, 2, 2);
-        const auto grid = topology::CouplingMap::grid(8, 8);
-        std::vector<circuit::Circuit> circuits;
-        for (const auto &b : bench::paperBenchmarks())
-            circuits.push_back(b.make());
-        auto opts =
-            sweepOptions(mirage_pass::Flow::MirageDepth, 0xB3, knobs);
-        opts.lowerToBasis = true;
-        opts.equivalenceLibrary = lib.get();
-        transpileAll(circuits, grid, opts);
-    }
-
-    // Mirror-workload target set, at the exact mirror-rb/mirror-qv
-    // default config: heavy-hex 57, trials 4/2/1, the registered widths
-    // and generation/routing seeds.
-    {
-        ResolvedKnobs knobs = resolve(user, 1, 4, 2, 1);
-        const auto topo = topology::CouplingMap::heavyHex57();
-        for (bool qv : {false, true}) {
-            std::vector<int> widths = qv ? std::vector<int>{8, 10, 12}
-                                         : std::vector<int>{8, 10, 14};
-            for (int w : widths) {
-                for (int i = 0; i < knobs.seeds; ++i) {
-                    const uint64_t gen_seed = 0xA11CE + 977 * uint64_t(i);
-                    auto mc = qv ? bench::mirrorQv(w, 4, gen_seed)
-                                 : bench::mirrorRb(w, 3, gen_seed);
-                    const uint64_t route_seed = 0x9000 + 131 * uint64_t(i);
-                    auto opts = sweepOptions(
-                        mirage_pass::Flow::MirageDepth, route_seed, knobs);
-                    opts.lowerToBasis = true;
-                    opts.equivalenceLibrary = lib.get();
-                    mirage_pass::transpile(mc.circuit, topo, opts);
-                }
-            }
-        }
-    }
+    auto defaults = [&user](const char *name) {
+        return resolveKnobs(*findExperiment(name), user);
+    };
+    json::Value parameters = json::Value::object();
+    runTable3(defaults("table3"), lib.get());
+    runMirrorFamily(defaults("mirror-rb"), parameters, false, lib.get());
+    runMirrorFamily(defaults("mirror-qv"), parameters, true, lib.get());
     return lib;
 }
 
@@ -1688,9 +1667,11 @@ findExperiment(const std::string &name)
 }
 
 json::Value
-runExperiment(const Experiment &e, const SweepKnobs &knobs)
+runExperiment(const Experiment &e, const SweepKnobs &user)
 {
-    json::Value payload = e.run(knobs);
+    json::Value parameters = json::Value::object();
+    const SweepKnobs knobs = resolveKnobs(e, user, &parameters);
+    json::Value payload = e.run(knobs, parameters);
     json::Value artifact = json::Value::object();
     artifact.set("schemaVersion", kArtifactSchemaVersion);
     artifact.set("kind", kSweepArtifactKind);
@@ -1698,6 +1679,7 @@ runExperiment(const Experiment &e, const SweepKnobs &knobs)
     artifact.set("paperArtifact", e.artifact);
     artifact.set("title", e.title);
     artifact.set("paperRef", e.paperRef);
+    artifact.set("parameters", std::move(parameters));
     for (const auto &[key, value] : payload.members())
         artifact.set(key, value);
     return artifact;
@@ -1781,14 +1763,17 @@ checkBenchCounters(const Experiment &e, const json::Value &current,
                         (*a)["experiment"].asString() + "'");
     }
 
-    // Counters are only comparable when the workload matches; threads
-    // is exempt (counters are thread-invariant by contract).
-    for (const char *key : {"seeds", "layoutTrials", "swapTrials",
-                            "forwardBackwardPasses", "circuits"}) {
+    // Counters are only comparable when the workload matches: the
+    // circuit count and every declared workload knob.
+    std::vector<std::string> workload = {"circuits"};
+    for (const KnobSpec &s : knobSpecs())
+        if (s.workload && e.declared(s.knob))
+            workload.push_back(s.parameter);
+    for (const std::string &key : workload) {
         const json::Value *c = current["parameters"].find(key);
         const json::Value *b = baseline["parameters"].find(key);
         if (!c || !b || c->asInt() != b->asInt())
-            return fail(std::string("parameter '") + key +
+            return fail("parameter '" + key +
                         "' differs from the baseline; regenerate the "
                         "baseline with matching knobs");
     }

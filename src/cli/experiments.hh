@@ -6,7 +6,7 @@
  * Every reproducible figure/table of the paper (Figs. 3-6 and 8-13,
  * Tables I-III) is one named Experiment whose run() returns a
  * machine-readable JSON artifact: a versioned envelope (schemaVersion,
- * kind, experiment, title, paperRef) around resolved parameters, a
+ * kind, experiment, title, paperRef) around the knobs it declares, a
  * typed column list, data rows, and a summary. The CLI writes the
  * artifact to disk for CI archival/diffing and `mirage report` renders
  * it as a markdown table, so each figure is reproduced in exactly one
@@ -34,28 +34,47 @@ inline constexpr int kArtifactSchemaVersion = 1;
 /** The `kind` tag of sweep artifacts. */
 inline constexpr const char *kSweepArtifactKind = "mirage-sweep";
 
-/**
- * User-tunable sweep knobs. -1 (or "" for cacheDir) means "use the
- * experiment's own default"; the resolved values are recorded in the
- * artifact's `parameters` object.
- */
+/** The `mirage sweep` knobs an experiment may read. */
+enum class Knob { Seeds, Trials, SwapTrials, FwdBwd, Threads, McIters,
+                  Limit, Cache, Catalog };
+
+/** Sweep knob values; -1 (or "") means "not set". */
 struct SweepKnobs
 {
     int seeds = -1;         ///< independent instances averaged
     int layoutTrials = -1;  ///< SABRE/MIRAGE layout trials
     int swapTrials = -1;    ///< routing repeats per layout
     int fwdBwd = -1;        ///< layout refinement rounds
-    int threads = 1;        ///< trial-grid fan-out (0 = all cores)
-    int mcIterations = -1;  ///< Monte-Carlo iterations (fig5, table2)
-    int suiteLimit = -1;    ///< first N Table III circuits (-1 = all)
+    int threads = -1;       ///< trial-grid fan-out (0 = all cores)
+    int mcIterations = -1;  ///< Monte-Carlo iterations
+    int suiteLimit = -1;    ///< first N suite entries / widths (-1 = all)
     std::string cacheDir;   ///< equivalence-library cache dir ("" = off)
-    /**
-     * Committed fit catalog: "" auto-discovers ($MIRAGE_FIT_CATALOG,
-     * then ./FIT_CATALOG.bin), "none" disables, anything else is an
-     * explicit path. Lowering experiments (table3, mirror-*,
-     * bench-lowering) warm-start their equivalence library from it.
-     */
+    /** Fit catalog: "" auto-discovers (decomp::loadLibrary), "none" off. */
     std::string catalogPath;
+};
+
+/** One sweep knob: its flag, its artifact key and its SweepKnobs slot. */
+struct KnobSpec
+{
+    Knob knob;
+    const char *flag;      ///< `mirage sweep` flag
+    const char *valueName; ///< the flag's --help placeholder
+    const char *help;      ///< the flag's --help text
+    /** `parameters` key; nullptr: --limit/--catalog show elsewhere. */
+    const char *parameter;
+    bool workload; ///< `sweep --check` needs it to match the baseline
+    int SweepKnobs::*number;                 ///< integer slot, or nullptr
+    std::string SweepKnobs::*text = nullptr; ///< string slot, or nullptr
+};
+
+/** Every sweep knob, in `parameters` key order. */
+const std::vector<KnobSpec> &knobSpecs();
+
+/** A knob an experiment reads, with its default (-1 / "" if unset). */
+struct KnobDefault
+{
+    Knob knob;
+    int value = -1;
 };
 
 /** One registered experiment. */
@@ -65,8 +84,14 @@ struct Experiment
     std::string artifact; ///< paper artifact, e.g. "Table III"
     std::string title;    ///< human title for reports
     std::string paperRef; ///< the paper's reference numbers
-    /** Runs the experiment; returns columns/rows/summary/parameters. */
-    std::function<json::Value(const SweepKnobs &)> run;
+    /**
+     * Runs on resolved knobs; returns columns/rows/summary and appends
+     * the keys it computes (circuits, widths...) to `parameters`.
+     */
+    std::function<json::Value(const SweepKnobs &, json::Value &parameters)>
+        run;
+    /** The knobs run() reads; any other is a usage error. */
+    std::vector<KnobDefault> knobs = {};
     /**
      * Row counters that may not rise against a baseline artifact
      * (`sweep --check`); rows are matched by their "name" key. Empty:
@@ -75,15 +100,24 @@ struct Experiment
     std::vector<std::string> gatedCounters = {};
     /** Summary booleans that must be true in every artifact. */
     std::vector<std::string> invariants = {};
+
+    /** The declaration of `k`; nullptr when run() does not read it. */
+    const KnobDefault *declared(Knob k) const
+    {
+        for (const KnobDefault &d : knobs)
+            if (d.knob == k)
+                return &d;
+        return nullptr;
+    }
 };
 
 /** All registered experiments, in paper order. */
 const std::vector<Experiment> &experimentRegistry();
 
 /**
- * Fit the full catalog target set -- every decomposition the Table III
- * sweep (exact table3 config) and the mirror-rb/mirror-qv
- * families need, plus the standard preseed gates -- into one
+ * Fit the full catalog target set -- every decomposition the table3,
+ * mirror-rb and mirror-qv entries lower at their declared defaults,
+ * plus the standard preseed gates -- into one
  * equivalence library, cold (no catalog/cache load). saveCache of the
  * result IS the FIT_CATALOG.bin artifact; the build is deterministic,
  * so `mirage catalog check` can compare bytes against the committed
@@ -96,10 +130,19 @@ buildCatalogLibrary(int threads);
 const Experiment *findExperiment(const std::string &name);
 
 /**
- * Run an experiment and wrap its result in the versioned artifact
- * envelope (schemaVersion/kind/experiment/title/paperRef + payload).
+ * Each knob e declares at the user's value or e's default, the rest
+ * unset; the declared values also go to *parameters. A set knob e does
+ * not declare throws UsageError naming it, e and e's knobs.
  */
-json::Value runExperiment(const Experiment &e, const SweepKnobs &knobs);
+SweepKnobs resolveKnobs(const Experiment &e, const SweepKnobs &user,
+                        json::Value *parameters = nullptr);
+
+/**
+ * Run e on resolveKnobs(e, user) and wrap its result in the versioned
+ * artifact envelope (schemaVersion/kind/experiment/title/paperRef +
+ * parameters + payload).
+ */
+json::Value runExperiment(const Experiment &e, const SweepKnobs &user);
 
 /**
  * Check an artifact against the schema `mirage report` and CI rely on:
@@ -113,9 +156,10 @@ bool validateArtifact(const json::Value &artifact, std::string *error);
 /**
  * Perf-trajectory gate for `mirage sweep --check`: compare a freshly
  * produced artifact of `e` against a checked-in baseline. Fails (and
- * explains in *report) when the run parameters differ, a baseline row
- * is missing, or one of e.gatedCounters rose -- wall times are never
- * compared, so the check is noise-free and runs on any machine.
+ * explains in *report) when a declared workload knob or `circuits`
+ * differs, a baseline row is missing, or one of e.gatedCounters rose --
+ * wall times are never compared, so the check is noise-free and runs
+ * on any machine.
  */
 bool checkBenchCounters(const Experiment &e, const json::Value &current,
                         const json::Value &baseline, std::string *report);

@@ -65,8 +65,9 @@ loadLibrary(int root_degree, const std::string &catalog_knob,
             return nullptr;
         lib = std::make_unique<EquivalenceLibrary>(root_degree);
     }
+    // A missing or stale --cache file just means a cold start.
     if (!cache_dir.empty())
-        lib->loadCacheFile(libraryCacheFile(cache_dir, root_degree));
+        lib->loadCacheFileDetailed(libraryCacheFile(cache_dir, root_degree));
     return lib;
 }
 

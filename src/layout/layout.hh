@@ -29,7 +29,6 @@ class Layout
     int toPhysical(int logical) const { return l2p_[size_t(logical)]; }
     int toLogical(int physical) const { return p2l_[size_t(physical)]; }
     const std::vector<int> &logicalToPhysical() const { return l2p_; }
-    const std::vector<int> &physicalToLogical() const { return p2l_; }
 
     /** Swap the logical qubits residing on two physical wires. */
     void swapPhysical(int pa, int pb);

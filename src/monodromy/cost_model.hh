@@ -44,11 +44,6 @@ class CostModel
     }
     /** Pulse cost of a bare SWAP in this basis. */
     double swapCost() const { return swapCost_; }
-    /** Circuit fidelity of an exact decomposition (Eq. 2). */
-    double circuitFidelity(const Coord &c) const
-    {
-        return decayFidelity(costOf(c));
-    }
 
   private:
     const CoverageSet *coverage_;

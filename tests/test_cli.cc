@@ -72,6 +72,28 @@ readFile(const std::string &path)
     return buf.str();
 }
 
+/** The keys of an artifact's `parameters`, in order. */
+std::vector<std::string>
+parameterKeys(const json::Value &artifact)
+{
+    std::vector<std::string> keys;
+    for (const auto &[key, value] : artifact["parameters"].members())
+        keys.push_back(key);
+    return keys;
+}
+
+/** The `parameters` keys a run of `name` records with no knob set. */
+std::vector<std::string>
+declaredKeys(const std::string &name)
+{
+    const cli::Experiment &e = *cli::findExperiment(name);
+    std::vector<std::string> keys;
+    for (const cli::KnobSpec &s : cli::knobSpecs())
+        if (e.declared(s.knob) && s.parameter && s.number)
+            keys.push_back(s.parameter);
+    return keys;
+}
+
 } // namespace
 
 // --- argument parser --------------------------------------------------------
@@ -611,6 +633,43 @@ TEST(CliSweep, MissingExperimentIsUsageError)
     EXPECT_EQ(r.code, cli::kExitUsage);
 }
 
+TEST(CliSweep, UndeclaredKnobsAreUsageErrors)
+{
+    // Every entry, every knob flag it does not declare: exit 2 before
+    // any work, naming the flag and the experiment, with no artifact
+    // (and no --cache directory) written.
+    const std::string dir = tempPath("undeclared");
+    const std::string cache = tempPath("undeclared-cache");
+    int rejected = 0;
+    for (const cli::Experiment &e : cli::experimentRegistry()) {
+        for (const cli::KnobSpec &s : cli::knobSpecs()) {
+            if (e.declared(s.knob))
+                continue;
+            const std::string value =
+                s.number ? "2" : s.knob == cli::Knob::Cache ? cache : "none";
+            auto r = runCli({"sweep", "--experiment", e.name, s.flag, value,
+                             "--out", dir});
+            EXPECT_EQ(r.code, cli::kExitUsage) << e.name << " " << s.flag;
+            EXPECT_NE(r.err.find(std::string(s.flag) + " is not read by "
+                                 "experiment '" + e.name + "'"),
+                      std::string::npos)
+                << r.err;
+            ++rejected;
+        }
+    }
+    EXPECT_GT(rejected, 0);
+    EXPECT_FALSE(std::filesystem::exists(dir));
+    EXPECT_FALSE(std::filesystem::exists(cache));
+
+    // The message lists what the experiment does read.
+    auto r = runCli({"sweep", "--experiment", "bench", "--threads", "3"});
+    EXPECT_EQ(r.code, cli::kExitUsage);
+    EXPECT_NE(r.err.find("(it reads --trials, --swap-trials, --fwd-bwd, "
+                         "--limit)"),
+              std::string::npos)
+        << r.err;
+}
+
 TEST(CliSweep, Fig8ArtifactValidatesRendersAndExportsCsv)
 {
     std::string dir = tempPath("arts");
@@ -628,6 +687,12 @@ TEST(CliSweep, Fig8ArtifactValidatesRendersAndExportsCsv)
     EXPECT_EQ(artifact["kind"].asString(), "mirage-sweep");
     EXPECT_EQ(artifact["experiment"].asString(), "fig8");
     EXPECT_EQ(artifact["rows"].size(), 2u);
+    // Exactly the knobs fig8 reads: it routes one seed, so no "seeds".
+    EXPECT_EQ(parameterKeys(artifact), declaredKeys("fig8"));
+    EXPECT_EQ(parameterKeys(artifact),
+              (std::vector<std::string>{"layoutTrials", "swapTrials",
+                                        "forwardBackwardPasses",
+                                        "threads"}));
 
     std::string csv = readFile(dir + "/fig8.csv");
     EXPECT_NE(csv.find("flow,depthPulses"), std::string::npos);
@@ -795,6 +860,52 @@ TEST(CliBench, CheckRejectsMismatchedParameters)
         << check.out;
 }
 
+TEST(CliBench, CheckNamesEachDifferingWorkloadKnob)
+{
+    const cli::Experiment &bench = *cli::findExperiment("bench");
+    cli::SweepKnobs knobs;
+    knobs.suiteLimit = 1;
+    knobs.layoutTrials = 2;
+    knobs.swapTrials = 1;
+    knobs.fwdBwd = 1;
+    const json::Value current = cli::runExperiment(bench, knobs);
+    std::string report;
+    ASSERT_TRUE(cli::checkBenchCounters(bench, current, current, &report))
+        << report;
+
+    // Each declared workload knob, and the circuit count, must match.
+    std::vector<std::string> workload;
+    for (const cli::KnobSpec &s : cli::knobSpecs())
+        if (s.workload && bench.declared(s.knob))
+            workload.push_back(s.parameter);
+    EXPECT_EQ(workload, (std::vector<std::string>{
+                            "layoutTrials", "swapTrials",
+                            "forwardBackwardPasses"}));
+    workload.push_back("circuits");
+    for (const std::string &key : workload) {
+        json::Value baseline = current;
+        json::Value params = baseline["parameters"];
+        params.set(key, params[key].asInt() + 1);
+        baseline.set("parameters", params);
+        report.clear();
+        EXPECT_FALSE(
+            cli::checkBenchCounters(bench, current, baseline, &report));
+        EXPECT_NE(report.find("parameter '" + key + "' differs"),
+                  std::string::npos)
+            << report;
+    }
+
+    // Keys bench does not read are not compared (an old baseline's
+    // "seeds" and "threads").
+    json::Value baseline = current;
+    json::Value params = baseline["parameters"];
+    params.set("seeds", 7);
+    params.set("threads", 7);
+    baseline.set("parameters", params);
+    EXPECT_TRUE(cli::checkBenchCounters(bench, current, baseline, &report))
+        << report;
+}
+
 TEST(CliBench, CheckReadsBaselineBeforeOverwritingIt)
 {
     // When the baseline is the file the sweep writes, the gate must
@@ -947,6 +1058,8 @@ TEST(ExperimentRegistry, Fig6AndFig9ReproduceThePaperShapes)
     json::Value fig6 =
         cli::runExperiment(*cli::findExperiment("fig6"), {});
     ASSERT_TRUE(cli::validateArtifact(fig6, &schemaError)) << schemaError;
+    EXPECT_EQ(parameterKeys(fig6), declaredKeys("fig6"));
+    EXPECT_TRUE(parameterKeys(fig6).empty());
     const json::Value &rows6 = fig6["rows"];
     ASSERT_EQ(rows6.size(), 8u);
     for (size_t i = 0; i < rows6.size(); ++i) {
@@ -970,6 +1083,8 @@ TEST(ExperimentRegistry, Fig6AndFig9ReproduceThePaperShapes)
         cli::runExperiment(*cli::findExperiment("fig9"), {});
     ASSERT_TRUE(cli::validateArtifact(fig9, &schemaError)) << schemaError;
     EXPECT_EQ(fig9["parameters"]["layoutTrials"].asInt(), 64);
+    EXPECT_EQ(parameterKeys(fig9), declaredKeys("fig9"));
+    EXPECT_EQ(parameterKeys(fig9), std::vector<std::string>{"layoutTrials"});
     const json::Value &rows9 = fig9["rows"];
     ASSERT_EQ(rows9.size(), 3u);
     const int pulses[] = {10, 19, 21}, trials[] = {32, 15, 17};

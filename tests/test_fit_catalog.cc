@@ -230,10 +230,6 @@ TEST(FitCatalog, DetailedLoadSplitsUnreadableFromMalformed)
     EXPECT_NE(malformed.message.find("bad magic"), std::string::npos)
         << malformed.message;
 
-    // The bool overload keeps its old contract for both outcomes.
-    EXPECT_FALSE(lib.loadCacheFile(missing));
-    EXPECT_FALSE(lib.loadCacheFile(garbage));
-
     // A good file round-trips through the same API.
     const std::string good =
         writeTempCatalog("good-catalog.bin", coldFit().catalog);

@@ -7,7 +7,6 @@
 
 #include <cmath>
 
-#include "common/rational.hh"
 #include "common/rng.hh"
 #include "linalg/eigen.hh"
 #include "linalg/expm.hh"
@@ -294,25 +293,4 @@ TEST(Fidelity, SelfAndPhaseInvariance)
     Mat4 v = u * std::polar(1.0, 1.234);
     EXPECT_NEAR(processFidelity(u, v), 1.0, 1e-12);
     EXPECT_NEAR(averageGateFidelity(u, v), 1.0, 1e-12);
-}
-
-TEST(Rational, Arithmetic)
-{
-    Rational a(1, 3), b(1, 6);
-    EXPECT_EQ((a + b), Rational(1, 2));
-    EXPECT_EQ((a - b), Rational(1, 6));
-    EXPECT_EQ((a * b), Rational(1, 18));
-    EXPECT_EQ((a / b), Rational(2));
-    EXPECT_TRUE(Rational(-2, -4) == Rational(1, 2));
-    EXPECT_TRUE(Rational(1, -2) < Rational(0));
-}
-
-TEST(Rational, Approximate)
-{
-    EXPECT_EQ(Rational::approximate(0.5, 64), Rational(1, 2));
-    EXPECT_EQ(Rational::approximate(-0.25, 64), Rational(-1, 4));
-    EXPECT_EQ(Rational::approximate(2.0 / 3.0, 64), Rational(2, 3));
-    EXPECT_EQ(Rational::approximate(1.0, 64), Rational(1));
-    // 0.333333... within denominator budget 10 is 1/3.
-    EXPECT_EQ(Rational::approximate(0.3333333333, 10), Rational(1, 3));
 }
