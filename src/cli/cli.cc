@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <cctype>
+#include <climits>
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
@@ -276,6 +277,10 @@ cmdSweep(const std::vector<std::string> &args, std::ostream &out,
                          "descriptions)");
     }
 
+    // fig5 takes ~11 ms per Monte-Carlo iteration (Release, 4-vCPU
+    // container), so 10^5 iterations already run ~20 minutes; anything
+    // larger is a typo, not a run anyone waits for.
+    constexpr int kMaxMcIterations = 100000;
     SweepKnobs knobs;
     for (const KnobSpec &s : knobSpecs()) {
         if (!parser.optionSeen(s.flag))
@@ -283,8 +288,9 @@ cmdSweep(const std::vector<std::string> &args, std::ostream &out,
         if (s.text)
             knobs.*s.text = parser.option(s.flag);
         else
-            knobs.*s.number =
-                parser.intOption(s.flag, s.knob == Knob::Threads ? 0 : 1);
+            knobs.*s.number = parser.intOption(
+                s.flag, s.knob == Knob::Threads ? 0 : 1,
+                s.knob == Knob::McIters ? kMaxMcIterations : INT_MAX);
     }
     // Reject a knob the experiment does not read before any work (or
     // creating a --cache directory it would never use).

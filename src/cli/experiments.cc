@@ -7,12 +7,14 @@
 
 #include "cli/experiments.hh"
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <map>
 #include <optional>
+#include <set>
 
 #include "bench_circuits/generators.hh"
 #include "bench_circuits/mirror.hh"
@@ -63,6 +65,9 @@ resolveKnobs(const Experiment &e, const SweepKnobs &user,
 
 namespace {
 
+using enum mirage_pass::Flow;
+using topology::CouplingMap;
+
 /** How many of `available` suite entries a run covers (--limit). */
 size_t
 limitedCount(const SweepKnobs &k, size_t available)
@@ -71,20 +76,70 @@ limitedCount(const SweepKnobs &k, size_t available)
                              : available;
 }
 
-/** Column descriptor: key into the row objects + table label. */
-json::Value
-column(const char *key, const char *label, int digits = -1,
-       bool sci = false)
+/** Table::cell's `digits` for a column rendered in scientific notation. */
+constexpr int kSci = -2;
+
+/**
+ * An artifact's table, filled row by row. Each cell is declared once,
+ * where it is filled: a cell with a label is also a column, listed with
+ * its format (`digits` after the point, or kSci) where its key first
+ * appears; a data() cell stays in the row but is never rendered.
+ */
+class Table
 {
-    json::Value c = json::Value::object();
-    c.set("key", key);
-    c.set("label", label);
-    if (digits >= 0)
-        c.set("digits", digits);
-    if (sci)
-        c.set("sci", true);
-    return c;
-}
+  public:
+    json::Value summary = json::Value::object();
+
+    /** Start a row; cell() and data() fill it until the next row(). */
+    Table &row()
+    {
+        rows_.push_back(json::Value::object());
+        return *this;
+    }
+
+    Table &cell(const std::string &key, const char *label, json::Value value,
+                int digits = -1)
+    {
+        rows_.back().set(key, std::move(value));
+        if (label && columnKeys_.insert(key).second) {
+            json::Value c = json::Value::object();
+            c.set("key", key);
+            c.set("label", label);
+            if (digits >= 0)
+                c.set("digits", digits);
+            if (digits == kSci)
+                c.set("sci", true);
+            columns_.push(std::move(c));
+        }
+        return *this;
+    }
+
+    Table &data(const std::string &key, json::Value value)
+    {
+        return cell(key, nullptr, std::move(value));
+    }
+
+    /** The columns/rows/summary/notes payload; no summary when empty. */
+    json::Value payload(const char *notes = nullptr)
+    {
+        json::Value rows = json::Value::array();
+        for (json::Value &r : rows_)
+            rows.push(std::move(r));
+        json::Value out = json::Value::object();
+        out.set("columns", std::move(columns_));
+        out.set("rows", std::move(rows));
+        if (summary.size())
+            out.set("summary", std::move(summary));
+        if (notes)
+            out.set("notes", notes);
+        return out;
+    }
+
+  private:
+    json::Value columns_ = json::Value::array();
+    std::set<std::string> columnKeys_;
+    std::vector<json::Value> rows_;
+};
 
 mirage_pass::TranspileOptions
 sweepOptions(mirage_pass::Flow flow, uint64_t seed, const SweepKnobs &k)
@@ -109,7 +164,7 @@ sweepOptions(mirage_pass::Flow flow, uint64_t seed, const SweepKnobs &k)
  */
 std::vector<mirage_pass::TranspileResult>
 transpileAll(const std::vector<circuit::Circuit> &circuits,
-             const topology::CouplingMap &coupling,
+             const CouplingMap &coupling,
              mirage_pass::TranspileOptions opts)
 {
     std::optional<exec::ThreadPool> pool;
@@ -122,41 +177,60 @@ transpileAll(const std::vector<circuit::Circuit> &circuits,
     return results;
 }
 
-/** Aggregated transpile statistics over several seeds (geometric mean
- * for depth as in the paper, arithmetic for counters). */
+/** An arm's transpile statistics over the seeds (geometric mean for
+ * depth as in the paper, arithmetic for the rest). */
 struct SweepStats
 {
     double depth = 0;
-    double depthPulses = 0;
     double totalPulses = 0;
     double swaps = 0;
     double mirrorRate = 0;
 };
 
-SweepStats
-runSweep(const std::string &bench_name,
-         const topology::CouplingMap &coupling, mirage_pass::Flow flow,
-         const SweepKnobs &knobs, int fixed_aggression = -1)
+/** One arm of a flow comparison: a flow at a fixed aggression level
+ * (-1: the mixed distribution). */
+struct Arm
 {
-    SweepStats s;
-    double log_depth = 0;
-    for (int i = 0; i < knobs.seeds; ++i) {
-        auto circ = bench::benchmarkByName(bench_name).make();
-        auto opts = sweepOptions(flow, 0x9000 + 131 * uint64_t(i), knobs);
-        opts.fixedAggression = fixed_aggression;
-        auto res = mirage_pass::transpile(circ, coupling, opts);
-        log_depth += std::log(std::max(res.metrics.depth, 1e-9));
-        s.depthPulses += res.metrics.depthPulses;
-        s.totalPulses += res.metrics.totalPulses;
-        s.swaps += res.swapsAdded;
-        s.mirrorRate += res.mirrorAcceptRate();
+    mirage_pass::Flow flow;
+    int aggression = -1;
+};
+
+/** One circuit and its stats, one per arm. */
+using ArmRow = std::pair<const char *, std::vector<SweepStats>>;
+
+/**
+ * Figs. 10-12's grid: every circuit on `coupling` under every arm, each
+ * averaged over knobs.seeds routing seeds 0x9000 + 131 i.
+ */
+std::vector<ArmRow>
+runArms(const std::vector<const char *> &circuits,
+        const CouplingMap &coupling, const std::vector<Arm> &arms,
+        const SweepKnobs &knobs)
+{
+    std::vector<ArmRow> rows;
+    for (const char *name : circuits) {
+        rows.emplace_back(name, std::vector<SweepStats>{});
+        for (const Arm &arm : arms) {
+            SweepStats &s = rows.back().second.emplace_back();
+            double log_depth = 0;
+            for (int i = 0; i < knobs.seeds; ++i) {
+                auto opts = sweepOptions(arm.flow, 0x9000 + 131 * uint64_t(i),
+                                         knobs);
+                opts.fixedAggression = arm.aggression;
+                auto res = mirage_pass::transpile(
+                    bench::benchmarkByName(name).make(), coupling, opts);
+                log_depth += std::log(std::max(res.metrics.depth, 1e-9));
+                s.totalPulses += res.metrics.totalPulses;
+                s.swaps += res.swapsAdded;
+                s.mirrorRate += res.mirrorAcceptRate();
+            }
+            s.depth = std::exp(log_depth / knobs.seeds);
+            s.totalPulses /= knobs.seeds;
+            s.swaps /= knobs.seeds;
+            s.mirrorRate /= knobs.seeds;
+        }
     }
-    s.depth = std::exp(log_depth / knobs.seeds);
-    s.depthPulses /= knobs.seeds;
-    s.totalPulses /= knobs.seeds;
-    s.swaps /= knobs.seeds;
-    s.mirrorRate /= knobs.seeds;
-    return s;
+    return rows;
 }
 
 double
@@ -193,7 +267,7 @@ setCatalogSummary(json::Value &summary, const decomp::CatalogLoad &use)
 json::Value
 runFig3to4(const SweepKnobs &, json::Value &)
 {
-    json::Value rows = json::Value::array();
+    Table t;
     json::Value fullK = json::Value::object();
     json::Value mirrorFullK = json::Value::object();
     for (const monodromy::CoverageSet *cs :
@@ -206,35 +280,23 @@ runFig3to4(const SweepKnobs &, json::Value &)
             const double mirror = cs->mirrorHaarFractionAt(k);
             if (!mirror_full && mirror >= 1.0 - 1e-9)
                 mirror_full = k;
-            json::Value row = json::Value::object();
-            row.set("basis", basis);
-            row.set("duration", cs->basis().duration);
-            row.set("k", k);
-            row.set("coverage", 100.0 * cs->haarFractionAt(k));
-            row.set("mirrorCoverage", 100.0 * mirror);
-            rows.push(std::move(row));
+            t.row()
+                .cell("basis", "basis", basis)
+                .cell("duration", "duration", cs->basis().duration, 3)
+                .cell("k", "k", k)
+                .cell("coverage", "coverage(%)",
+                      100.0 * cs->haarFractionAt(k), 2)
+                .cell("mirrorCoverage", "mirror coverage(%)", 100.0 * mirror,
+                      2);
         }
         fullK.set(basis, cs->kMax());
         mirrorFullK.set(basis, mirror_full);
     }
-
-    json::Value out = json::Value::object();
-    json::Value cols = json::Value::array();
-    cols.push(column("basis", "basis"));
-    cols.push(column("duration", "duration", 3));
-    cols.push(column("k", "k"));
-    cols.push(column("coverage", "coverage(%)", 2));
-    cols.push(column("mirrorCoverage", "mirror coverage(%)", 2));
-    out.set("columns", std::move(cols));
-    out.set("rows", std::move(rows));
-    json::Value summary = json::Value::object();
-    summary.set("fullCoverageK", std::move(fullK));
-    summary.set("mirrorFullCoverageK", std::move(mirrorFullK));
-    out.set("summary", std::move(summary));
-    out.set("notes",
-            "Haar-weighted volume of the k-application coverage polytope, "
-            "standard and mirror-extended (U or U*SWAP realizable).");
-    return out;
+    t.summary.set("fullCoverageK", std::move(fullK));
+    t.summary.set("mirrorFullCoverageK", std::move(mirrorFullK));
+    return t.payload(
+        "Haar-weighted volume of the k-application coverage polytope, "
+        "standard and mirror-extended (U or U*SWAP realizable).");
 }
 
 /**
@@ -248,22 +310,24 @@ runFig5(const SweepKnobs &knobs, json::Value &)
     const monodromy::CoverageSet &cs = monodromy::coverageForRootIswap(4);
     const int iters = knobs.mcIterations;
 
+    // 64-bit: doubling an int past 2^30 would overflow.
     std::vector<int> checkpoints;
-    for (int c = 1; c <= iters; c *= 2)
-        checkpoints.push_back(c);
+    for (int64_t c = 1; c <= iters; c *= 2)
+        checkpoints.push_back(int(c));
     if (checkpoints.back() != iters)
         checkpoints.push_back(iters);
 
     const struct
     {
         const char *key;
+        const char *label;
         bool mirrors;
         bool approximate;
     } strategies[] = {
-        {"exact", false, false},
-        {"approximate", false, true},
-        {"exactMirrors", true, false},
-        {"approxMirrors", true, true},
+        {"exact", "exact", false, false},
+        {"approximate", "approximate", false, true},
+        {"exactMirrors", "exact+mirrors", true, false},
+        {"approxMirrors", "approx+mirrors", true, true},
     };
     std::vector<std::vector<double>> curves;
     json::Value final_scores = json::Value::object();
@@ -276,47 +340,32 @@ runFig5(const SweepKnobs &knobs, json::Value &)
         std::vector<double> &curve =
             curves.emplace_back(checkpoints.size(), 0.0);
         opts.progress = [&](int it, double running) {
-            for (size_t i = 0; i < checkpoints.size(); ++i) {
+            for (size_t i = 0; i < checkpoints.size(); ++i)
                 if (checkpoints[i] == it)
                     curve[i] = running;
-            }
         };
         monodromy::HaarScore score = monodromy::haarScoreMonteCarlo(cs, opts);
         curve.back() = score.score;
         final_scores.set(s.key, score.score);
         final_fidelities.set(s.key, score.fidelity);
     }
-    json::Value rows = json::Value::array();
+    Table t;
     for (size_t i = 0; i < checkpoints.size(); ++i) {
-        json::Value row = json::Value::object();
-        row.set("iteration", checkpoints[i]);
+        t.row().cell("iteration", "iteration", checkpoints[i]);
         for (size_t j = 0; j < curves.size(); ++j)
-            row.set(strategies[j].key, curves[j][i]);
-        rows.push(std::move(row));
+            t.cell(strategies[j].key, strategies[j].label, curves[j][i], 4);
     }
-
-    json::Value out = json::Value::object();
-    json::Value cols = json::Value::array();
-    cols.push(column("iteration", "iteration"));
-    cols.push(column("exact", "exact", 4));
-    cols.push(column("approximate", "approximate", 4));
-    cols.push(column("exactMirrors", "exact+mirrors", 4));
-    cols.push(column("approxMirrors", "approx+mirrors", 4));
-    out.set("columns", std::move(cols));
-    out.set("rows", std::move(rows));
-    json::Value summary = json::Value::object();
-    summary.set("exactReference", monodromy::haarScoreExact(cs, false).score);
-    summary.set("exactMirrorReference",
-                monodromy::haarScoreExact(cs, true).score);
-    summary.set("finalScore", std::move(final_scores));
-    summary.set("finalFidelity", std::move(final_fidelities));
-    out.set("summary", std::move(summary));
-    out.set("notes",
-            "Running Haar score of Algorithm 1 for the 4th root of iSWAP "
-            "at log-spaced iterations; the summary carries the exact "
-            "polytope-integration reference lines and the final "
-            "score/fidelity per strategy.");
-    return out;
+    t.summary.set("exactReference",
+                  monodromy::haarScoreExact(cs, false).score);
+    t.summary.set("exactMirrorReference",
+                  monodromy::haarScoreExact(cs, true).score);
+    t.summary.set("finalScore", std::move(final_scores));
+    t.summary.set("finalFidelity", std::move(final_fidelities));
+    return t.payload(
+        "Running Haar score of Algorithm 1 for the 4th root of iSWAP at "
+        "log-spaced iterations; the summary carries the exact "
+        "polytope-integration reference lines and the final "
+        "score/fidelity per strategy.");
 }
 
 /**
@@ -328,38 +377,23 @@ json::Value
 runFig6(const SweepKnobs &, json::Value &)
 {
     monodromy::CostModel cm = monodromy::makeRootIswapCostModel(2);
-    json::Value rows = json::Value::array();
+    Table t;
     for (int i = 1; i <= 8; ++i) {
         const double phi = linalg::kPi * i / 8.0;
         const weyl::Coord cp = weyl::coordCP(phi);
         const weyl::Coord ps = weyl::mirrorCoord(cp);
-        json::Value row = json::Value::object();
-        row.set("phiOverPi", phi / linalg::kPi);
-        row.set("cpCoords", cp.toString());
-        row.set("cpCost", cm.costOf(cp));
-        row.set("cpK", cm.kFor(cp));
-        row.set("pswapCoords", ps.toString());
-        row.set("pswapCost", cm.costOf(ps));
-        row.set("pswapK", cm.kFor(ps));
-        rows.push(std::move(row));
+        t.row()
+            .cell("phiOverPi", "phi/pi", phi / linalg::kPi, 3)
+            .cell("cpCoords", "CP coords", cp.toString())
+            .cell("cpCost", "cost", cm.costOf(cp), 2)
+            .cell("cpK", "k", cm.kFor(cp))
+            .cell("pswapCoords", "pSWAP coords", ps.toString())
+            .cell("pswapCost", "mirror cost", cm.costOf(ps), 2)
+            .cell("pswapK", "mirror k", cm.kFor(ps));
     }
-
-    json::Value out = json::Value::object();
-    json::Value cols = json::Value::array();
-    cols.push(column("phiOverPi", "phi/pi", 3));
-    cols.push(column("cpCoords", "CP coords"));
-    cols.push(column("cpCost", "cost", 2));
-    cols.push(column("cpK", "k"));
-    cols.push(column("pswapCoords", "pSWAP coords"));
-    cols.push(column("pswapCost", "mirror cost", 2));
-    cols.push(column("pswapK", "mirror k"));
-    out.set("columns", std::move(cols));
-    out.set("rows", std::move(rows));
-    out.set("notes",
-            "CNOT (phi = pi) and its mirror (iSWAP) both cost k=2, the "
-            "free mirror; fractional CPHASEs mirror into k=3 pSWAPs, "
-            "favored only when absorbing a SWAP.");
-    return out;
+    return t.payload("CNOT (phi = pi) and its mirror (iSWAP) both cost "
+                     "k=2, the free mirror; fractional CPHASEs mirror into "
+                     "k=3 pSWAPs, favored only when absorbing a SWAP.");
 }
 
 /** Fig. 8: TwoLocal(full, 4q) on a 4-qubit line, baseline vs MIRAGE. */
@@ -367,46 +401,30 @@ json::Value
 runFig8(const SweepKnobs &knobs, json::Value &)
 {
     auto circ = bench::twoLocalFull(4, 1, 7);
-    auto line = topology::CouplingMap::line(4);
+    auto line = CouplingMap::line(4);
 
-    json::Value rows = json::Value::array();
+    Table t;
     json::Value gates = json::Value::array();
-    for (auto [label, flow] :
-         {std::pair{"Qiskit-baseline", mirage_pass::Flow::SabreBaseline},
-          std::pair{"MIRAGE", mirage_pass::Flow::MirageDepth}}) {
+    for (auto [label, flow] : {std::pair{"Qiskit-baseline", SabreBaseline},
+                               std::pair{"MIRAGE", MirageDepth}}) {
         auto res = mirage_pass::transpile(circ, line,
                                           sweepOptions(flow, 1, knobs));
-        json::Value row = json::Value::object();
-        row.set("flow", label);
-        row.set("depthPulses", res.metrics.depthPulses);
-        row.set("swaps", res.metrics.swapGates);
-        row.set("mirrors", res.mirrorsAccepted);
-        row.set("depth", res.metrics.depth);
-        rows.push(std::move(row));
-        if (flow == mirage_pass::Flow::MirageDepth) {
-            for (const auto &g : res.routed.gates()) {
-                if (!g.isTwoQubit())
-                    continue;
-                gates.push(g.name() + "(" + std::to_string(g.qubits[0]) +
-                           "," + std::to_string(g.qubits[1]) + ")" +
-                           (g.mirrored ? " [mirror]" : ""));
-            }
-        }
+        t.row()
+            .cell("flow", "flow", label)
+            .cell("depthPulses", "pulses(sqiSW)", res.metrics.depthPulses, 1)
+            .cell("swaps", "swaps", res.metrics.swapGates)
+            .cell("mirrors", "mirrors", res.mirrorsAccepted)
+            .cell("depth", "depth(iSWAP)", res.metrics.depth, 2);
+        if (flow == MirageDepth)
+            for (const auto &g : res.routed.gates())
+                if (g.isTwoQubit())
+                    gates.push(g.name() + "(" + std::to_string(g.qubits[0]) +
+                               "," + std::to_string(g.qubits[1]) + ")" +
+                               (g.mirrored ? " [mirror]" : ""));
     }
 
-    json::Value out = json::Value::object();
-    json::Value cols = json::Value::array();
-    cols.push(column("flow", "flow"));
-    cols.push(column("depthPulses", "pulses(sqiSW)", 1));
-    cols.push(column("swaps", "swaps"));
-    cols.push(column("mirrors", "mirrors"));
-    cols.push(column("depth", "depth(iSWAP)", 2));
-    out.set("columns", std::move(cols));
-    out.set("rows", std::move(rows));
-    json::Value summary = json::Value::object();
-    summary.set("mirageTwoQubitGates", std::move(gates));
-    out.set("summary", std::move(summary));
-    return out;
+    t.summary.set("mirageTwoQubitGates", std::move(gates));
+    return t.payload();
 }
 
 /**
@@ -419,7 +437,7 @@ runFig8(const SweepKnobs &knobs, json::Value &)
 json::Value
 runFig9(const SweepKnobs &knobs, json::Value &)
 {
-    const auto line = topology::CouplingMap::line(4);
+    const auto line = CouplingMap::line(4);
     const auto cost = monodromy::makeRootIswapCostModel(2);
     const auto consolidated =
         circuit::consolidateBlocks(bench::twoLocalFull(4, 1, 7));
@@ -438,225 +456,132 @@ runFig9(const SweepKnobs &knobs, json::Value &)
         ++histogram[int(m.depthPulses + 0.5)];
     }
 
-    json::Value rows = json::Value::array();
-    for (auto [pulses, count] : histogram) {
-        json::Value row = json::Value::object();
-        row.set("depthPulses", pulses);
-        row.set("trials", count);
-        row.set("bar", std::string(size_t(count), '#'));
-        rows.push(std::move(row));
-    }
-
-    json::Value out = json::Value::object();
-    json::Value cols = json::Value::array();
-    cols.push(column("depthPulses", "depth(pulses)"));
-    cols.push(column("trials", "trials"));
-    cols.push(column("bar", "histogram"));
-    out.set("columns", std::move(cols));
-    out.set("rows", std::move(rows));
-    json::Value summary = json::Value::object();
-    summary.set("bestPulses", histogram.begin()->first);
-    summary.set("worstPulses", histogram.rbegin()->first);
-    summary.set("minima", uint64_t(histogram.size()));
-    out.set("summary", std::move(summary));
-    out.set("notes",
-            "TwoLocal(full, 4q) on a 4-qubit line from the identity "
-            "layout, one routing pass per trial with aggression cycling "
-            "through the four levels; post-selection keeps the best "
-            "route.");
-    return out;
+    Table t;
+    for (auto [pulses, count] : histogram)
+        t.row()
+            .cell("depthPulses", "depth(pulses)", pulses)
+            .cell("trials", "trials", count)
+            .cell("bar", "histogram", std::string(size_t(count), '#'));
+    t.summary.set("bestPulses", histogram.begin()->first);
+    t.summary.set("worstPulses", histogram.rbegin()->first);
+    t.summary.set("minima", uint64_t(histogram.size()));
+    return t.payload(
+        "TwoLocal(full, 4q) on a 4-qubit line from the identity layout, "
+        "one routing pass per trial with aggression cycling through the "
+        "four levels; post-selection keeps the best route.");
 }
 
 /** Fig. 10: fixed aggression levels vs baseline on four circuits. */
 json::Value
 runFig10(const SweepKnobs &knobs, json::Value &)
 {
-    auto grid = topology::CouplingMap::grid(6, 6);
-    const char *names[] = {"wstate_n27", "bigadder_n18", "qft_n18",
-                           "bv_n30"};
-
-    json::Value rows = json::Value::array();
-    for (const char *name : names) {
-        json::Value row = json::Value::object();
-        row.set("circuit", name);
-        row.set("qiskit",
-                runSweep(name, grid, mirage_pass::Flow::SabreBaseline,
-                         knobs)
-                    .depth);
-        for (int a = 0; a <= 3; ++a) {
-            std::string key("a");
-            key.push_back(char('0' + a));
-            row.set(key,
-                    runSweep(name, grid, mirage_pass::Flow::MirageDepth,
-                             knobs, a)
-                        .depth);
-        }
-        row.set("mix",
-                runSweep(name, grid, mirage_pass::Flow::MirageDepth, knobs)
-                    .depth);
-        rows.push(std::move(row));
+    // The baseline, MIRAGE at each fixed level, then the mixed levels.
+    const char *keys[] = {"qiskit", "a0", "a1", "a2", "a3", "mix"};
+    Table t;
+    for (const auto &[name, stats] :
+         runArms({"wstate_n27", "bigadder_n18", "qft_n18", "bv_n30"},
+                 CouplingMap::grid(6, 6),
+                 {{SabreBaseline}, {MirageDepth, 0}, {MirageDepth, 1},
+                  {MirageDepth, 2}, {MirageDepth, 3}, {MirageDepth}},
+                 knobs)) {
+        t.row().cell("circuit", "circuit", name);
+        for (size_t i = 0; i < stats.size(); ++i)
+            t.cell(keys[i], keys[i], stats[i].depth, 1);
     }
-
-    json::Value out = json::Value::object();
-    json::Value cols = json::Value::array();
-    cols.push(column("circuit", "circuit"));
-    cols.push(column("qiskit", "qiskit", 1));
-    for (int a = 0; a <= 3; ++a) {
-        std::string key("a");
-        key.push_back(char('0' + a));
-        cols.push(column(key.c_str(), key.c_str(), 1));
-    }
-    cols.push(column("mix", "mix", 1));
-    out.set("columns", std::move(cols));
-    out.set("rows", std::move(rows));
-    out.set("notes",
-            "Average depth in iSWAP units on a 6x6 grid. No single "
-            "aggression level wins everywhere, motivating the mixed "
-            "5/45/45/5 distribution.");
-    return out;
+    return t.payload("Average depth in iSWAP units on a 6x6 grid. No single "
+                     "aggression level wins everywhere, motivating the "
+                     "mixed 5/45/45/5 distribution.");
 }
 
-const std::vector<const char *> &
-suiteCircuits()
-{
-    static const std::vector<const char *> names = {
-        "qec9xz_n17",       "seca_n11",       "knn_n25",
-        "swap_test_n25",    "qram_n20",       "qft_n18",
-        "qftentangled_n16", "ae_n16",         "bigadder_n18",
-        "qpeexact_n16",     "multiplier_n15", "portfolioqaoa_n16",
-        "sat_n11",
-    };
-    return names;
-}
+/** The Table III circuits of Figs. 11-12. */
+const std::vector<const char *> kSuiteCircuits = {
+    "qec9xz_n17",       "seca_n11",       "knn_n25",
+    "swap_test_n25",    "qram_n20",       "qft_n18",
+    "qftentangled_n16", "ae_n16",         "bigadder_n18",
+    "qpeexact_n16",     "multiplier_n15", "portfolioqaoa_n16",
+    "sat_n11",
+};
 
 /** Fig. 11: SWAP-count vs estimated-depth post-selection. */
 json::Value
 runFig11(const SweepKnobs &knobs, json::Value &)
 {
-    auto grid = topology::CouplingMap::grid(6, 6);
-
-    json::Value rows = json::Value::array();
+    Table t;
     double sum_swap_red = 0, sum_depth_red = 0, sum_gate_ratio = 0;
-    int count = 0;
-    for (const char *name : suiteCircuits()) {
-        auto qiskit =
-            runSweep(name, grid, mirage_pass::Flow::SabreBaseline, knobs);
-        auto mswaps =
-            runSweep(name, grid, mirage_pass::Flow::MirageSwaps, knobs);
-        auto mdepth =
-            runSweep(name, grid, mirage_pass::Flow::MirageDepth, knobs);
-        double ds = pct(qiskit.depth, mswaps.depth);
-        double dd = pct(qiskit.depth, mdepth.depth);
-        json::Value row = json::Value::object();
-        row.set("circuit", name);
-        row.set("qiskit", qiskit.depth);
-        row.set("mirageSwaps", mswaps.depth);
-        row.set("mirageDepth", mdepth.depth);
-        row.set("swapSelRed", ds);
-        row.set("depthSelRed", dd);
-        rows.push(std::move(row));
+    for (const auto &[name, s] :
+         runArms(kSuiteCircuits, CouplingMap::grid(6, 6),
+                 {{SabreBaseline}, {MirageSwaps}, {MirageDepth}}, knobs)) {
+        const SweepStats &qiskit = s[0], &mswaps = s[1], &mdepth = s[2];
+        const double ds = pct(qiskit.depth, mswaps.depth);
+        const double dd = pct(qiskit.depth, mdepth.depth);
+        t.row()
+            .cell("circuit", "circuit", name)
+            .cell("qiskit", "qiskit", qiskit.depth, 1)
+            .cell("mirageSwaps", "mirage-swaps", mswaps.depth, 1)
+            .cell("mirageDepth", "mirage-depth", mdepth.depth, 1)
+            .cell("swapSelRed", "dS(%)", ds, 1)
+            .cell("depthSelRed", "dD(%)", dd, 1);
         sum_swap_red += ds;
         sum_depth_red += dd;
         sum_gate_ratio += pct(qiskit.totalPulses, mdepth.totalPulses);
-        ++count;
     }
-
-    json::Value out = json::Value::object();
-    json::Value cols = json::Value::array();
-    cols.push(column("circuit", "circuit"));
-    cols.push(column("qiskit", "qiskit", 1));
-    cols.push(column("mirageSwaps", "mirage-swaps", 1));
-    cols.push(column("mirageDepth", "mirage-depth", 1));
-    cols.push(column("swapSelRed", "dS(%)", 1));
-    cols.push(column("depthSelRed", "dD(%)", 1));
-    out.set("columns", std::move(cols));
-    out.set("rows", std::move(rows));
-    json::Value summary = json::Value::object();
-    summary.set("avgDepthReductionSwapSel", sum_swap_red / count);
-    summary.set("avgDepthReductionDepthSel", sum_depth_red / count);
-    summary.set("avgExtraFromDepthSel",
-                (sum_depth_red - sum_swap_red) / count);
-    summary.set("avgTotalPulseChange", sum_gate_ratio / count);
-    out.set("summary", std::move(summary));
-    out.set("notes",
-            "Average depth in iSWAP units on a 6x6 grid; dS/dD are the "
-            "reductions of MIRAGE post-selected on SWAPs/depth vs the "
-            "baseline.");
-    return out;
+    const double count = double(kSuiteCircuits.size());
+    t.summary.set("avgDepthReductionSwapSel", sum_swap_red / count);
+    t.summary.set("avgDepthReductionDepthSel", sum_depth_red / count);
+    t.summary.set("avgExtraFromDepthSel",
+                  (sum_depth_red - sum_swap_red) / count);
+    t.summary.set("avgTotalPulseChange", sum_gate_ratio / count);
+    return t.payload("Average depth in iSWAP units on a 6x6 grid; dS/dD are "
+                     "the reductions of MIRAGE post-selected on "
+                     "SWAPs/depth vs the baseline.");
 }
 
 /** Fig. 12: end-to-end comparison on heavy-hex 57Q and the 6x6 grid. */
 json::Value
 runFig12(const SweepKnobs &knobs, json::Value &)
 {
-
-    json::Value rows = json::Value::array();
-    json::Value summary = json::Value::object();
-    for (const auto &topo : {topology::CouplingMap::heavyHex57(),
-                             topology::CouplingMap::grid(6, 6)}) {
-        double sum_d = 0, sum_g = 0, sum_s = 0;
-        double wsum_d = 0, wsum_g = 0, wsum_s = 0;
-        double wtot_d = 0, wtot_g = 0, wtot_s = 0;
-        int count = 0;
-        for (const char *name : suiteCircuits()) {
-            auto q = runSweep(name, topo,
-                              mirage_pass::Flow::SabreBaseline, knobs);
-            auto m = runSweep(name, topo, mirage_pass::Flow::MirageDepth,
-                              knobs);
-            double dp = pct(q.depth, m.depth);
-            double gp = pct(q.totalPulses, m.totalPulses);
-            double sp = pct(q.swaps, m.swaps);
-            json::Value row = json::Value::object();
-            row.set("topology", topo.name());
-            row.set("circuit", name);
-            row.set("qiskitDepth", q.depth);
-            row.set("mirageDepth", m.depth);
-            row.set("depthRed", dp);
-            row.set("qiskitPulses", q.totalPulses);
-            row.set("miragePulses", m.totalPulses);
-            row.set("pulseRed", gp);
-            row.set("qiskitSwaps", q.swaps);
-            row.set("mirageSwaps", m.swaps);
-            row.set("mirrorRate", 100.0 * m.mirrorRate);
-            rows.push(std::move(row));
-            sum_d += dp;
-            sum_g += gp;
-            sum_s += sp;
-            wsum_d += dp * q.depth;
-            wtot_d += q.depth;
-            wsum_g += gp * q.totalPulses;
-            wtot_g += q.totalPulses;
-            wsum_s += sp * q.swaps;
-            wtot_s += q.swaps;
-            ++count;
+    Table t;
+    for (const auto &topo :
+         {CouplingMap::heavyHex57(), CouplingMap::grid(6, 6)}) {
+        // Depth, pulses, swaps: mean reduction and baseline-weighted sum.
+        double sum[3] = {}, wsum[3] = {}, wtot[3] = {};
+        for (const auto &[name, s] :
+             runArms(kSuiteCircuits, topo, {{SabreBaseline}, {MirageDepth}},
+                     knobs)) {
+            const SweepStats &q = s[0], &m = s[1];
+            const double base[] = {q.depth, q.totalPulses, q.swaps};
+            const double red[] = {pct(q.depth, m.depth),
+                                  pct(q.totalPulses, m.totalPulses),
+                                  pct(q.swaps, m.swaps)};
+            t.row()
+                .cell("topology", "topology", topo.name())
+                .cell("circuit", "circuit", name)
+                .cell("qiskitDepth", "Q.depth", q.depth, 1)
+                .cell("mirageDepth", "M.depth", m.depth, 1)
+                .cell("depthRed", "d%", red[0], 1)
+                .cell("qiskitPulses", "Q.pulse", q.totalPulses, 0)
+                .cell("miragePulses", "M.pulse", m.totalPulses, 0)
+                .cell("pulseRed", "g%", red[1], 1)
+                .cell("qiskitSwaps", "Q.swap", q.swaps, 1)
+                .cell("mirageSwaps", "M.swap", m.swaps, 1)
+                .cell("mirrorRate", "mirror%", 100.0 * m.mirrorRate, 1);
+            for (int i = 0; i < 3; ++i) {
+                sum[i] += red[i];
+                wsum[i] += red[i] * base[i];
+                wtot[i] += base[i];
+            }
         }
-        json::Value t = json::Value::object();
-        t.set("avgDepthReduction", sum_d / count);
-        t.set("avgPulseReduction", sum_g / count);
-        t.set("avgSwapReduction", sum_s / count);
-        t.set("weightedDepthReduction", wsum_d / wtot_d);
-        t.set("weightedPulseReduction", wsum_g / wtot_g);
-        t.set("weightedSwapReduction", wsum_s / wtot_s);
-        summary.set(topo.name(), std::move(t));
+        const double count = double(kSuiteCircuits.size());
+        json::Value avg = json::Value::object();
+        avg.set("avgDepthReduction", sum[0] / count);
+        avg.set("avgPulseReduction", sum[1] / count);
+        avg.set("avgSwapReduction", sum[2] / count);
+        avg.set("weightedDepthReduction", wsum[0] / wtot[0]);
+        avg.set("weightedPulseReduction", wsum[1] / wtot[1]);
+        avg.set("weightedSwapReduction", wsum[2] / wtot[2]);
+        t.summary.set(topo.name(), std::move(avg));
     }
-
-    json::Value out = json::Value::object();
-    json::Value cols = json::Value::array();
-    cols.push(column("topology", "topology"));
-    cols.push(column("circuit", "circuit"));
-    cols.push(column("qiskitDepth", "Q.depth", 1));
-    cols.push(column("mirageDepth", "M.depth", 1));
-    cols.push(column("depthRed", "d%", 1));
-    cols.push(column("qiskitPulses", "Q.pulse", 0));
-    cols.push(column("miragePulses", "M.pulse", 0));
-    cols.push(column("pulseRed", "g%", 1));
-    cols.push(column("qiskitSwaps", "Q.swap", 1));
-    cols.push(column("mirageSwaps", "M.swap", 1));
-    cols.push(column("mirrorRate", "mirror%", 1));
-    out.set("columns", std::move(cols));
-    out.set("rows", std::move(rows));
-    out.set("summary", std::move(summary));
-    return out;
+    return t.payload();
 }
 
 /**
@@ -667,19 +592,9 @@ runFig12(const SweepKnobs &knobs, json::Value &)
 json::Value
 runFig13(const SweepKnobs &, json::Value &)
 {
-    const auto grid = topology::CouplingMap::grid(8, 8);
+    const auto grid = CouplingMap::grid(8, 8);
 
-    json::Value rows = json::Value::array();
-    auto addRow = [&rows](const char *stage, double ms,
-                          const std::string &detail, int qubits = 0) {
-        json::Value row = json::Value::object();
-        row.set("stage", stage);
-        if (qubits)
-            row.set("qubits", qubits);
-        row.set("ms", ms);
-        row.set("detail", detail);
-        rows.push(std::move(row));
-    };
+    Table t;
     // Per-size scaling and the caching ablation (Section VI-C): QFT(n)
     // consolidated and routed in one pass from a fixed random layout,
     // best of kReps wall times. "uncached" disables the consolidation
@@ -720,55 +635,44 @@ runFig13(const SweepKnobs &, json::Value &)
                 best_ms = r ? std::min(best_ms, ms) : ms;
             }
             config_ms[c] += best_ms;
-            addRow(configs[c].stage, best_ms,
-                   std::to_string(res.swapsAdded) + " swaps", n);
+            t.row()
+                .cell("stage", "stage", configs[c].stage)
+                .cell("qubits", "qubits", n)
+                .cell("ms", "wall(ms)", best_ms, 1)
+                .cell("detail", "detail",
+                      std::to_string(res.swapsAdded) + " swaps");
             routed.push_back(std::move(res.routed));
         }
-        ablation_identical = ablation_identical &&
-                             circuit::Circuit::bitIdentical(routed[1],
-                                                            routed[2]);
+        ablation_identical &=
+            circuit::Circuit::bitIdentical(routed[1], routed[2]);
     }
 
-    json::Value out = json::Value::object();
-    json::Value cols = json::Value::array();
-    cols.push(column("stage", "stage"));
-    cols.push(column("qubits", "qubits"));
-    cols.push(column("ms", "wall(ms)", 1));
-    cols.push(column("detail", "detail"));
-    out.set("columns", std::move(cols));
-    out.set("rows", std::move(rows));
-    json::Value summary = json::Value::object();
-    summary.set("qftMirageOverSabre",
-                config_ms[0] > 0 ? config_ms[1] / config_ms[0] : 0.0);
-    summary.set("qftUncachedSlowdown",
-                config_ms[1] > 0 ? config_ms[2] / config_ms[1] : 0.0);
-    summary.set("cacheAblationBitIdentical", ablation_identical);
-    out.set("summary", std::move(summary));
-    out.set("notes",
-            "Single routing passes of QFT(16..64) on an 8x8 grid: "
-            "SABRE, MIRAGE with and without the consolidation "
-            "coordinate cache. Wall times vary by machine; "
-            "cacheAblationBitIdentical (the cache leaves every QFT "
-            "route unchanged) must always be true. The suite's "
-            "transpile and lowering times are the bench and "
-            "bench-lowering experiments.");
-    return out;
+    t.summary.set("qftMirageOverSabre",
+                  config_ms[0] > 0 ? config_ms[1] / config_ms[0] : 0.0);
+    t.summary.set("qftUncachedSlowdown",
+                  config_ms[1] > 0 ? config_ms[2] / config_ms[1] : 0.0);
+    t.summary.set("cacheAblationBitIdentical", ablation_identical);
+    return t.payload(
+        "Single routing passes of QFT(16..64) on an 8x8 grid: SABRE, "
+        "MIRAGE with and without the consolidation coordinate cache. Wall "
+        "times vary by machine; cacheAblationBitIdentical (the cache "
+        "leaves every QFT route unchanged) must always be true. The "
+        "suite's transpile and lowering times are the bench and "
+        "bench-lowering experiments.");
 }
 
 /** Tables I/II: Haar scores, exact or Monte-Carlo approximate. */
 json::Value
 runHaarTable(const SweepKnobs &knobs, bool approximate)
 {
-    json::Value rows = json::Value::array();
+    Table t;
     for (int n : {2, 3, 4}) {
-        const monodromy::CoverageSet &cs =
-            monodromy::coverageForRootIswap(n);
+        const auto &cs = monodromy::coverageForRootIswap(n);
         monodromy::HaarScore plain, mirror;
         if (approximate) {
             monodromy::MonteCarloOptions opts;
             opts.iterations = knobs.mcIterations;
             opts.approximate = true;
-            opts.mirrors = false;
             plain = monodromy::haarScoreMonteCarlo(cs, opts);
             opts.mirrors = true;
             opts.seed ^= 0x77;
@@ -777,31 +681,19 @@ runHaarTable(const SweepKnobs &knobs, bool approximate)
             plain = monodromy::haarScoreExact(cs, false);
             mirror = monodromy::haarScoreExact(cs, true);
         }
-        json::Value row = json::Value::object();
-        row.set("basis", std::to_string(n) + "-rt iSWAP");
-        row.set("haar", plain.score);
-        row.set("fidelity", plain.fidelity);
-        row.set("mirrorHaar", mirror.score);
-        row.set("mirrorFidelity", mirror.fidelity);
-        rows.push(std::move(row));
+        t.row()
+            .cell("basis", "basis", std::to_string(n) + "-rt iSWAP")
+            .cell("haar", "haar", plain.score, 4)
+            .cell("fidelity", "fidelity", plain.fidelity, 4)
+            .cell("mirrorHaar", "mirror haar", mirror.score, 4)
+            .cell("mirrorFidelity", "mirror fid", mirror.fidelity, 4);
     }
-
-    json::Value out = json::Value::object();
-    json::Value cols = json::Value::array();
-    cols.push(column("basis", "basis"));
-    cols.push(column("haar", "haar", 4));
-    cols.push(column("fidelity", "fidelity", 4));
-    cols.push(column("mirrorHaar", "mirror haar", 4));
-    cols.push(column("mirrorFidelity", "mirror fid", 4));
-    out.set("columns", std::move(cols));
-    out.set("rows", std::move(rows));
-    out.set("notes", approximate
+    return t.payload(approximate
                          ? "Algorithm 1 Monte Carlo with approximate "
                            "decomposition accepted when it improves "
                            "total fidelity."
                          : "Exact decomposition scores by polytope "
                            "integration.");
-    return out;
 }
 
 /** The first --limit Table III circuits (all of them when unset). */
@@ -831,17 +723,16 @@ runTable3(const SweepKnobs &knobs,
                       : decomp::loadLibrary(2, knobs.catalogPath,
                                             knobs.cacheDir, &catalog);
     decomp::EquivalenceLibrary &lib = shared ? *shared : *own;
-    auto opts = sweepOptions(mirage_pass::Flow::MirageDepth, 0xB3, knobs);
+    auto opts = sweepOptions(MirageDepth, 0xB3, knobs);
     opts.lowerToBasis = true;
     opts.equivalenceLibrary = &lib;
 
     auto t0 = std::chrono::steady_clock::now();
-    auto results =
-        transpileAll(circuits, topology::CouplingMap::grid(8, 8), opts);
+    auto results = transpileAll(circuits, CouplingMap::grid(8, 8), opts);
     double elapsed_ms = millisSince(t0);
     decomp::saveLibraryCache(lib, knobs.cacheDir);
 
-    json::Value rows = json::Value::array();
+    Table t;
     bool all_equal = true;
     double worst_inf = 0;
     int new_fits = 0;
@@ -849,60 +740,41 @@ runTable3(const SweepKnobs &knobs,
     for (size_t i = 0; i < results.size(); ++i) {
         const auto &b = suite[i];
         const auto &r = results[i];
-        json::Value row = json::Value::object();
-        row.set("name", b.name);
-        row.set("class", b.klass);
-        row.set("qubits", b.qubits);
-        row.set("paperTwoQ", b.paperTwoQ);
-        row.set("rawTwoQ", circuits[i].twoQubitGateCount());
-        row.set("cxEquiv", bench::cxEquivalentCount(circuits[i]));
-        row.set("estPulses", r.metrics.totalPulses);
-        row.set("measPulses", r.loweredMetrics.totalPulses);
-        row.set("measDepthPulses", r.loweredMetrics.depthPulses);
-        row.set("fits", r.translateStats.newFits);
-        row.set("worstInfidelity", r.translateStats.worstInfidelity);
-        rows.push(std::move(row));
+        t.row()
+            .cell("name", "name", b.name)
+            .cell("class", "class", b.klass)
+            .cell("qubits", "qubits", b.qubits)
+            .cell("paperTwoQ", "paper 2Q", b.paperTwoQ)
+            .cell("rawTwoQ", "raw 2Q", circuits[i].twoQubitGateCount())
+            .cell("cxEquiv", "cx-equiv", bench::cxEquivalentCount(circuits[i]))
+            .cell("estPulses", "est.pulse", r.metrics.totalPulses, 0)
+            .cell("measPulses", "meas.pulse", r.loweredMetrics.totalPulses, 0)
+            .cell("measDepthPulses", "meas.depth",
+                  r.loweredMetrics.depthPulses, 0)
+            .cell("fits", "fits", r.translateStats.newFits)
+            .cell("worstInfidelity", "worst-inf",
+                  r.translateStats.worstInfidelity, kSci);
         all_equal = all_equal &&
                     r.metrics.totalPulses == r.loweredMetrics.totalPulses;
-        worst_inf =
-            std::max(worst_inf, r.translateStats.worstInfidelity);
+        worst_inf = std::max(worst_inf, r.translateStats.worstInfidelity);
         new_fits += r.translateStats.newFits;
         fit_evals += r.translateStats.fitEvaluations;
     }
 
-    json::Value out = json::Value::object();
-    json::Value cols = json::Value::array();
-    cols.push(column("name", "name"));
-    cols.push(column("class", "class"));
-    cols.push(column("qubits", "qubits"));
-    cols.push(column("paperTwoQ", "paper 2Q"));
-    cols.push(column("rawTwoQ", "raw 2Q"));
-    cols.push(column("cxEquiv", "cx-equiv"));
-    cols.push(column("estPulses", "est.pulse", 0));
-    cols.push(column("measPulses", "meas.pulse", 0));
-    cols.push(column("measDepthPulses", "meas.depth", 0));
-    cols.push(column("fits", "fits"));
-    cols.push(column("worstInfidelity", "worst-inf", -1, true));
-    out.set("columns", std::move(cols));
-    out.set("rows", std::move(rows));
-    json::Value summary = json::Value::object();
-    summary.set("measuredEqualsEstimated", all_equal);
-    summary.set("worstInfidelity", worst_inf);
-    summary.set("elapsedMs", elapsed_ms);
-    summary.set("fits", uint64_t(lib.fitCount()));
-    summary.set("newFits", new_fits);
-    summary.set("fitEvaluations", fit_evals);
-    summary.set("cachedDecompositions", uint64_t(lib.cacheSize()));
-    setCatalogSummary(summary, catalog);
-    out.set("summary", std::move(summary));
-    out.set("notes",
-            "Routed on an 8x8 grid with MirageDepth flow, then lowered "
-            "to sqrt(iSWAP) pulses over one shared equivalence library. "
-            "est.pulse is the polytope estimate, meas.pulse the count "
-            "measured on the emitted circuit; the paper counts "
-            "QASMBench entries natively (raw 2Q) and MQTBench entries "
-            "after CX decomposition (cx-equiv).");
-    return out;
+    t.summary.set("measuredEqualsEstimated", all_equal);
+    t.summary.set("worstInfidelity", worst_inf);
+    t.summary.set("elapsedMs", elapsed_ms);
+    t.summary.set("fits", uint64_t(lib.fitCount()));
+    t.summary.set("newFits", new_fits);
+    t.summary.set("fitEvaluations", fit_evals);
+    t.summary.set("cachedDecompositions", uint64_t(lib.cacheSize()));
+    setCatalogSummary(t.summary, catalog);
+    return t.payload(
+        "Routed on an 8x8 grid with MirageDepth flow, then lowered to "
+        "sqrt(iSWAP) pulses over one shared equivalence library. est.pulse "
+        "is the polytope estimate, meas.pulse the count measured on the "
+        "emitted circuit; the paper counts QASMBench entries natively "
+        "(raw 2Q) and MQTBench entries after CX decomposition (cx-equiv).");
 }
 
 /**
@@ -925,9 +797,8 @@ runBenchLowering(const SweepKnobs &knobs, json::Value &parameters)
     // Route once (table3's exact config); lowering is then isolated
     // from routing cost and measured per circuit, sequentially, so the
     // counters cannot be split across threads.
-    auto routed = transpileAll(
-        limitedSuite(knobs), topology::CouplingMap::grid(8, 8),
-        sweepOptions(mirage_pass::Flow::MirageDepth, 0xB3, knobs));
+    auto routed = transpileAll(limitedSuite(knobs), CouplingMap::grid(8, 8),
+                               sweepOptions(MirageDepth, 0xB3, knobs));
 
     decomp::EquivalenceLibrary cold(2);
     std::vector<decomp::TranslateStats> cold_stats(routed.size());
@@ -943,66 +814,47 @@ runBenchLowering(const SweepKnobs &knobs, json::Value &parameters)
                                         /*preseed_fallback=*/false);
     decomp::EquivalenceLibrary &warm = warm_lib ? *warm_lib : cold;
 
-    std::vector<decomp::TranslateStats> warm_stats(routed.size());
-    std::vector<double> warm_ms(routed.size());
-    for (size_t i = 0; i < routed.size(); ++i) {
-        auto t0 = std::chrono::steady_clock::now();
-        warm.translate(routed[i].routed, &warm_stats[i]);
-        warm_ms[i] = millisSince(t0);
-    }
-
-    json::Value rows = json::Value::array();
+    Table t;
     double total_cold = 0, total_warm = 0;
     int warm_new_fits = 0;
     for (size_t i = 0; i < routed.size(); ++i) {
-        json::Value row = json::Value::object();
-        row.set("name", suite[i].name);
-        row.set("qubits", suite[i].qubits);
-        row.set("blocks", cold_stats[i].blocksTranslated);
-        row.set("fits", cold_stats[i].newFits);
-        row.set("fitEvaluations", cold_stats[i].fitEvaluations);
-        row.set("coldMs", cold_ms[i]);
-        row.set("warmNewFits", warm_stats[i].newFits);
-        row.set("warmFitEvaluations", warm_stats[i].fitEvaluations);
-        row.set("warmMs", warm_ms[i]);
-        rows.push(std::move(row));
+        decomp::TranslateStats warm_stats;
+        auto t0 = std::chrono::steady_clock::now();
+        warm.translate(routed[i].routed, &warm_stats);
+        const double warm_ms = millisSince(t0);
+        t.row()
+            .cell("name", "name", suite[i].name)
+            .cell("qubits", "qubits", suite[i].qubits)
+            .cell("blocks", "blocks", cold_stats[i].blocksTranslated)
+            .cell("fits", "fits", cold_stats[i].newFits)
+            .cell("fitEvaluations", "fit-evals", cold_stats[i].fitEvaluations)
+            .cell("coldMs", "cold(ms)", cold_ms[i], 1)
+            .cell("warmNewFits", "warm-fits", warm_stats.newFits)
+            .cell("warmFitEvaluations", "warm-evals",
+                  warm_stats.fitEvaluations)
+            .cell("warmMs", "warm(ms)", warm_ms, 1);
         total_cold += cold_ms[i];
-        total_warm += warm_ms[i];
-        warm_new_fits += warm_stats[i].newFits;
+        total_warm += warm_ms;
+        warm_new_fits += warm_stats.newFits;
     }
 
-    json::Value out = json::Value::object();
     parameters.set("circuits", uint64_t(routed.size()));
-    json::Value cols = json::Value::array();
-    cols.push(column("name", "name"));
-    cols.push(column("qubits", "qubits"));
-    cols.push(column("blocks", "blocks"));
-    cols.push(column("fits", "fits"));
-    cols.push(column("fitEvaluations", "fit-evals"));
-    cols.push(column("coldMs", "cold(ms)", 1));
-    cols.push(column("warmNewFits", "warm-fits"));
-    cols.push(column("warmFitEvaluations", "warm-evals"));
-    cols.push(column("warmMs", "warm(ms)", 1));
-    out.set("columns", std::move(cols));
-    out.set("rows", std::move(rows));
-    json::Value summary = json::Value::object();
-    summary.set("loweringColdMs", total_cold);
-    summary.set("loweringWarmMs", total_warm);
-    summary.set("warmSpeedup", total_warm > 0 ? total_cold / total_warm : 0.0);
-    summary.set("warmNewFits", warm_new_fits);
-    summary.set("totalFits", uint64_t(cold.fitCount()));
-    summary.set("totalFitEvaluations", uint64_t(cold.fitEvaluations()));
-    setCatalogSummary(summary, catalog);
-    out.set("summary", std::move(summary));
-    out.set("notes",
-            "Table III suite routed once on an 8x8 grid, then lowered "
-            "cold (fresh library, every block fitted) vs warm (library "
-            "restored from the committed FIT_CATALOG.bin). Wall times "
-            "are machine-dependent and never gated; fits/fitEvaluations/"
-            "warmNewFits are deterministic and CI-gated. warmNewFits "
-            "must be 0: a nonzero value means the committed catalog no "
-            "longer covers the suite.");
-    return out;
+    t.summary.set("loweringColdMs", total_cold);
+    t.summary.set("loweringWarmMs", total_warm);
+    t.summary.set("warmSpeedup",
+                  total_warm > 0 ? total_cold / total_warm : 0.0);
+    t.summary.set("warmNewFits", warm_new_fits);
+    t.summary.set("totalFits", uint64_t(cold.fitCount()));
+    t.summary.set("totalFitEvaluations", uint64_t(cold.fitEvaluations()));
+    setCatalogSummary(t.summary, catalog);
+    return t.payload(
+        "Table III suite routed once on an 8x8 grid, then lowered cold "
+        "(fresh library, every block fitted) vs warm (library restored "
+        "from the committed FIT_CATALOG.bin). Wall times are "
+        "machine-dependent and never gated; fits/fitEvaluations/"
+        "warmNewFits are deterministic and CI-gated. warmNewFits must be "
+        "0: a nonzero value means the committed catalog no longer covers "
+        "the suite.");
 }
 
 /**
@@ -1017,42 +869,38 @@ runBenchLowering(const SweepKnobs &knobs, json::Value &parameters)
 json::Value
 runBenchRouting(const SweepKnobs &knobs, json::Value &parameters)
 {
-    const auto grid = topology::CouplingMap::grid(8, 8);
+    const auto grid = CouplingMap::grid(8, 8);
     const auto &suite = bench::paperBenchmarks();
     const auto circuits = limitedSuite(knobs);
 
-    json::Value rows = json::Value::array();
+    Table t;
     bool identical = true;
     double serial_ms = 0, parallel_ms = 0;
     uint64_t total_evals = 0, total_stalls = 0;
     for (size_t i = 0; i < circuits.size(); ++i) {
-        const circuit::Circuit &circ = circuits[i];
-        auto opts =
-            sweepOptions(mirage_pass::Flow::MirageDepth, 0xF13, knobs);
+        auto opts = sweepOptions(MirageDepth, 0xF13, knobs);
         opts.threads = 1;
-        auto serial = mirage_pass::transpile(circ, grid, opts);
+        auto serial = mirage_pass::transpile(circuits[i], grid, opts);
         opts.threads = 0; // all hardware threads
-        auto parallel = mirage_pass::transpile(circ, grid, opts);
-        identical = identical &&
-                    circuit::Circuit::bitIdentical(serial.routed,
-                                                   parallel.routed) &&
-                    serial.routingCounters == parallel.routingCounters;
+        auto parallel = mirage_pass::transpile(circuits[i], grid, opts);
+        identical &=
+            circuit::Circuit::bitIdentical(serial.routed, parallel.routed) &&
+            serial.routingCounters == parallel.routingCounters;
 
         const auto &c = serial.routingCounters;
-        json::Value row = json::Value::object();
-        row.set("name", suite[i].name);
-        row.set("qubits", suite[i].qubits);
-        row.set("serialMs", serial.routingMs);
-        row.set("parallelMs", parallel.routingMs);
-        row.set("swaps", serial.swapsAdded);
-        row.set("stallSteps", c.stallSteps);
-        row.set("swapCandidates", c.swapCandidates);
-        row.set("heuristicEvals", c.heuristicEvals);
-        row.set("evalsPerStall", c.evalsPerStall());
-        row.set("mirrorOutlooks", c.mirrorOutlooks);
-        row.set("extSetBuilds", c.extSetBuilds);
-        row.set("extSetReuses", c.extSetReuses);
-        rows.push(std::move(row));
+        t.row()
+            .cell("name", "name", suite[i].name)
+            .cell("qubits", "qubits", suite[i].qubits)
+            .cell("serialMs", "route(ms,1T)", serial.routingMs, 1)
+            .cell("parallelMs", "route(ms,NT)", parallel.routingMs, 1)
+            .cell("swaps", "swaps", serial.swapsAdded)
+            .cell("stallSteps", "stalls", c.stallSteps)
+            .data("swapCandidates", c.swapCandidates)
+            .cell("heuristicEvals", "h-evals", c.heuristicEvals)
+            .cell("evalsPerStall", "evals/stall", c.evalsPerStall(), 2)
+            .data("mirrorOutlooks", c.mirrorOutlooks)
+            .cell("extSetBuilds", "ext-builds", c.extSetBuilds)
+            .cell("extSetReuses", "ext-reuses", c.extSetReuses);
 
         serial_ms += serial.routingMs;
         parallel_ms += parallel.routingMs;
@@ -1060,40 +908,20 @@ runBenchRouting(const SweepKnobs &knobs, json::Value &parameters)
         total_stalls += c.stallSteps;
     }
 
-    json::Value out = json::Value::object();
     parameters.set("circuits", uint64_t(circuits.size()));
-    json::Value cols = json::Value::array();
-    cols.push(column("name", "name"));
-    cols.push(column("qubits", "qubits"));
-    cols.push(column("serialMs", "route(ms,1T)", 1));
-    cols.push(column("parallelMs", "route(ms,NT)", 1));
-    cols.push(column("swaps", "swaps"));
-    cols.push(column("stallSteps", "stalls"));
-    cols.push(column("heuristicEvals", "h-evals"));
-    cols.push(column("evalsPerStall", "evals/stall", 2));
-    cols.push(column("extSetBuilds", "ext-builds"));
-    cols.push(column("extSetReuses", "ext-reuses"));
-    out.set("columns", std::move(cols));
-    out.set("rows", std::move(rows));
-    json::Value summary = json::Value::object();
-    summary.set("routingSerialMs", serial_ms);
-    summary.set("routingParallelMs", parallel_ms);
-    summary.set("parallelSpeedup",
-                parallel_ms > 0 ? serial_ms / parallel_ms : 0.0);
-    summary.set("heuristicEvals", total_evals);
-    summary.set("evalsPerStall",
-                total_stalls ? double(total_evals) / double(total_stalls)
-                             : 0.0);
-    summary.set("outputsBitIdentical", identical);
-    summary.set("hardwareThreads", exec::defaultThreads());
-    out.set("summary", std::move(summary));
-    out.set("notes",
-            "Routing-phase wall time of the Table III suite on an 8x8 "
-            "grid (MirageDepth flow), threads=1 vs all cores, with the "
-            "deterministic hot-path counters. Wall times vary by "
-            "machine; the counters and routed circuits must not (the "
-            "`mirage sweep --check` CI gate compares counters only).");
-    return out;
+    t.summary.set("routingSerialMs", serial_ms);
+    t.summary.set("routingParallelMs", parallel_ms);
+    t.summary.set("heuristicEvals", total_evals);
+    t.summary.set("evalsPerStall",
+                  total_stalls ? double(total_evals) / double(total_stalls)
+                               : 0.0);
+    t.summary.set("outputsBitIdentical", identical);
+    return t.payload(
+        "Routing-phase wall time of the Table III suite on an 8x8 grid "
+        "(MirageDepth flow), threads=1 vs all cores, with the "
+        "deterministic hot-path counters. Wall times vary by machine; the "
+        "counters and routed circuits must not (the `mirage sweep "
+        "--check` CI gate compares counters only).");
 }
 
 /**
@@ -1106,10 +934,10 @@ runBenchRouting(const SweepKnobs &knobs, json::Value &parameters)
 json::Value
 runFig12Large(const SweepKnobs &knobs, json::Value &parameters)
 {
-    const std::vector<topology::CouplingMap> devices = {
-        topology::CouplingMap::heavyHex433(),
-        topology::CouplingMap::heavyHex1121(),
-        topology::CouplingMap::grid(33, 33),
+    const std::vector<CouplingMap> devices = {
+        CouplingMap::heavyHex433(),
+        CouplingMap::heavyHex1121(),
+        CouplingMap::grid(33, 33),
     };
     // Table III circuits spanning a ~6x range of 2Q gate count, so
     // ms-per-gate across rows tracks route-time scaling in gate count.
@@ -1117,48 +945,35 @@ runFig12Large(const SweepKnobs &knobs, json::Value &parameters)
         "wstate_n27", "knn_n25", "multiplier_n15", "qft_n18"};
     const size_t limit = limitedCount(knobs, circuits.size());
 
-    json::Value rows = json::Value::array();
+    Table t;
     json::Value topo_summaries = json::Value::array();
     bool all_near_linear = true;
     for (const auto &device : devices) {
         const size_t n = size_t(device.numQubits());
-        // Smallest/largest circuit by 2Q count on this device, for the
-        // route-time-vs-gate-count growth comparison.
-        int gates_min = 0, gates_max = 0;
-        double ms_at_min = 0, ms_at_max = 0;
+        // (2Q gates, route ms) per circuit, for the route-time growth.
+        std::vector<std::pair<int, double>> gates_ms;
         for (size_t i = 0; i < limit; ++i) {
             const auto &info = bench::benchmarkByName(circuits[i]);
-            auto circ = info.make();
-            auto opts =
-                sweepOptions(mirage_pass::Flow::MirageDepth, 0xF12, knobs);
-            auto res = mirage_pass::transpile(circ, device, opts);
+            auto res = mirage_pass::transpile(
+                info.make(), device, sweepOptions(MirageDepth, 0xF12, knobs));
 
             const auto &c = res.routingCounters;
             const double ms_per_gate =
                 info.paperTwoQ > 0 ? res.routingMs / info.paperTwoQ : 0.0;
-            json::Value row = json::Value::object();
-            row.set("name", info.name + "@" + device.name());
-            row.set("topology", device.name());
-            row.set("deviceQubits", uint64_t(n));
-            row.set("circuitQubits", info.qubits);
-            row.set("gates2q", info.paperTwoQ);
-            row.set("routeMs", res.routingMs);
-            row.set("msPerGate2q", ms_per_gate);
-            row.set("swaps", res.swapsAdded);
-            row.set("stallSteps", c.stallSteps);
-            row.set("heuristicEvals", c.heuristicEvals);
-            row.set("extSetBuilds", c.extSetBuilds);
-            row.set("extSetReuses", c.extSetReuses);
-            rows.push(std::move(row));
-
-            if (gates_min == 0 || info.paperTwoQ < gates_min) {
-                gates_min = info.paperTwoQ;
-                ms_at_min = res.routingMs;
-            }
-            if (info.paperTwoQ > gates_max) {
-                gates_max = info.paperTwoQ;
-                ms_at_max = res.routingMs;
-            }
+            t.row()
+                .cell("name", "name", info.name + "@" + device.name())
+                .data("topology", device.name())
+                .cell("deviceQubits", "device-q", uint64_t(n))
+                .data("circuitQubits", info.qubits)
+                .cell("gates2q", "2q-gates", info.paperTwoQ)
+                .cell("routeMs", "route(ms)", res.routingMs, 1)
+                .cell("msPerGate2q", "ms/2q-gate", ms_per_gate, 3)
+                .cell("swaps", "swaps", res.swapsAdded)
+                .cell("stallSteps", "stalls", c.stallSteps)
+                .cell("heuristicEvals", "h-evals", c.heuristicEvals)
+                .cell("extSetBuilds", "ext-builds", c.extSetBuilds)
+                .data("extSetReuses", c.extSetReuses);
+            gates_ms.emplace_back(info.paperTwoQ, res.routingMs);
         }
 
         // Near-linear route time in gate count: going from the smallest
@@ -1166,10 +981,14 @@ runFig12Large(const SweepKnobs &knobs, json::Value &parameters)
         // the gate-count growth (in practice it grows slower -- per-pass
         // fixed costs amortize). Informational headroom, not a hard CI
         // gate: wall times vary by machine.
+        auto by_gates = [](auto &a, auto &b) { return a.first < b.first; };
+        const auto [gates_lo, ms_lo] =
+            *std::min_element(gates_ms.begin(), gates_ms.end(), by_gates);
+        const auto [gates_hi, ms_hi] =
+            *std::max_element(gates_ms.begin(), gates_ms.end(), by_gates);
         const double gate_growth =
-            gates_min > 0 ? double(gates_max) / gates_min : 0.0;
-        const double time_growth =
-            ms_at_min > 0 ? ms_at_max / ms_at_min : 0.0;
+            gates_lo > 0 ? double(gates_hi) / gates_lo : 0.0;
+        const double time_growth = ms_lo > 0 ? ms_hi / ms_lo : 0.0;
         const bool near_linear =
             gate_growth > 0 && time_growth <= 1.5 * gate_growth;
         all_near_linear = all_near_linear && near_linear;
@@ -1184,31 +1003,15 @@ runFig12Large(const SweepKnobs &knobs, json::Value &parameters)
         topo_summaries.push(std::move(ts));
     }
 
-    json::Value out = json::Value::object();
     parameters.set("circuits", uint64_t(limit));
-    json::Value cols = json::Value::array();
-    cols.push(column("name", "name"));
-    cols.push(column("deviceQubits", "device-q"));
-    cols.push(column("gates2q", "2q-gates"));
-    cols.push(column("routeMs", "route(ms)", 1));
-    cols.push(column("msPerGate2q", "ms/2q-gate", 3));
-    cols.push(column("swaps", "swaps"));
-    cols.push(column("stallSteps", "stalls"));
-    cols.push(column("heuristicEvals", "h-evals"));
-    cols.push(column("extSetBuilds", "ext-builds"));
-    out.set("columns", std::move(cols));
-    out.set("rows", std::move(rows));
-    json::Value summary = json::Value::object();
-    summary.set("topologies", std::move(topo_summaries));
-    summary.set("routeTimeNearLinearInGates", all_near_linear);
-    out.set("summary", std::move(summary));
-    out.set("notes",
-            "Table III circuits routed on 433/1121-qubit heavy-hex and a "
-            "33x33 grid; msPerGate2q tracks route-time scaling in gate "
-            "count. Counters are deterministic and gated by `mirage sweep "
-            "--experiment fig12-large --check`; wall times vary by machine "
-            "and are never compared.");
-    return out;
+    t.summary.set("topologies", std::move(topo_summaries));
+    t.summary.set("routeTimeNearLinearInGates", all_near_linear);
+    return t.payload(
+        "Table III circuits routed on 433/1121-qubit heavy-hex and a 33x33 "
+        "grid; msPerGate2q tracks route-time scaling in gate count. "
+        "Counters are deterministic and gated by `mirage sweep "
+        "--experiment fig12-large --check`; wall times vary by machine and "
+        "are never compared.");
 }
 
 // --- mirror-circuit verification -------------------------------------------
@@ -1242,7 +1045,7 @@ json::Value
 runMirrorFamily(const SweepKnobs &knobs, json::Value &parameters, bool qv,
                 decomp::EquivalenceLibrary *shared = nullptr)
 {
-    const auto topo = topology::CouplingMap::heavyHex57();
+    const auto topo = CouplingMap::heavyHex57();
     std::vector<int> widths =
         qv ? std::vector<int>{8, 10, 12} : std::vector<int>{8, 10, 14};
     widths.resize(limitedCount(knobs, widths.size()));
@@ -1253,7 +1056,7 @@ runMirrorFamily(const SweepKnobs &knobs, json::Value &parameters, bool qv,
                                             knobs.cacheDir, &catalog);
     decomp::EquivalenceLibrary &lib = shared ? *shared : *own;
 
-    json::Value rows = json::Value::array();
+    Table t;
     bool all_verified = true;
     double min_lowered = 1.0;
     for (int w : widths) {
@@ -1265,10 +1068,8 @@ runMirrorFamily(const SweepKnobs &knobs, json::Value &parameters, bool qv,
             const uint64_t route_seed = 0x9000 + 131 * uint64_t(i);
             auto base = mirage_pass::transpile(
                 mc.circuit, topo,
-                sweepOptions(mirage_pass::Flow::SabreBaseline, route_seed,
-                             knobs));
-            auto opts = sweepOptions(mirage_pass::Flow::MirageDepth,
-                                     route_seed, knobs);
+                sweepOptions(SabreBaseline, route_seed, knobs));
+            auto opts = sweepOptions(MirageDepth, route_seed, knobs);
             opts.lowerToBasis = true;
             opts.equivalenceLibrary = &lib;
             auto res = mirage_pass::transpile(mc.circuit, topo, opts);
@@ -1285,60 +1086,39 @@ runMirrorFamily(const SweepKnobs &knobs, json::Value &parameters, bool qv,
             all_verified = all_verified && verified;
             min_lowered = std::min(min_lowered, lowered_p);
 
-            json::Value row = json::Value::object();
-            row.set("circuit", mc.circuit.name());
-            row.set("qubits", w);
-            row.set("instance", i);
-            row.set("baselineDepth", base.metrics.depth);
-            row.set("mirageDepth", res.metrics.depth);
-            row.set("depthRed", pct(base.metrics.depth, res.metrics.depth));
-            row.set("swaps", res.swapsAdded);
-            row.set("mirrors", res.mirrorsAccepted);
-            row.set("routedSuccess", routed_p);
-            row.set("loweredSuccess", lowered_p);
-            row.set("successTolerance", tol);
-            row.set("verified", verified);
-            row.set("stallSteps", res.routingCounters.stallSteps);
-            row.set("heuristicEvals", res.routingCounters.heuristicEvals);
-            rows.push(std::move(row));
+            t.row()
+                .cell("circuit", "circuit", mc.circuit.name())
+                .cell("qubits", "qubits", w)
+                .cell("instance", "inst", i)
+                .cell("baselineDepth", "base depth", base.metrics.depth, 1)
+                .cell("mirageDepth", "mirage depth", res.metrics.depth, 1)
+                .cell("depthRed", "d%",
+                      pct(base.metrics.depth, res.metrics.depth), 1)
+                .cell("swaps", "swaps", res.swapsAdded)
+                .cell("mirrors", "mirrors", res.mirrorsAccepted)
+                .cell("routedSuccess", "P(routed)", routed_p, 6)
+                .cell("loweredSuccess", "P(lowered)", lowered_p, 6)
+                .cell("successTolerance", "tol", tol, kSci)
+                .cell("verified", "ok", verified)
+                .cell("stallSteps", "stalls", res.routingCounters.stallSteps)
+                .cell("heuristicEvals", "h-evals",
+                      res.routingCounters.heuristicEvals);
         }
     }
     decomp::saveLibraryCache(lib, knobs.cacheDir);
 
-    json::Value out = json::Value::object();
     parameters.set("topology", topo.name());
     parameters.set("widths", uint64_t(widths.size()));
-    json::Value cols = json::Value::array();
-    cols.push(column("circuit", "circuit"));
-    cols.push(column("qubits", "qubits"));
-    cols.push(column("instance", "inst"));
-    cols.push(column("baselineDepth", "base depth", 1));
-    cols.push(column("mirageDepth", "mirage depth", 1));
-    cols.push(column("depthRed", "d%", 1));
-    cols.push(column("swaps", "swaps"));
-    cols.push(column("mirrors", "mirrors"));
-    cols.push(column("routedSuccess", "P(routed)", 6));
-    cols.push(column("loweredSuccess", "P(lowered)", 6));
-    cols.push(column("successTolerance", "tol", -1, true));
-    cols.push(column("verified", "ok"));
-    cols.push(column("stallSteps", "stalls"));
-    cols.push(column("heuristicEvals", "h-evals"));
-    out.set("columns", std::move(cols));
-    out.set("rows", std::move(rows));
-    json::Value summary = json::Value::object();
-    summary.set("allVerified", all_verified);
-    summary.set("minLoweredSuccess", min_lowered);
-    setCatalogSummary(summary, catalog);
-    out.set("summary", std::move(summary));
-    out.set("notes",
-            "Every row is one self-verifying mirror circuit routed on "
-            "heavy-hex 57Q and lowered to sqrt(iSWAP) pulses; the ideal "
-            "bitstring's probability is measured by sparse simulation of "
-            "the emitted circuit on all 57 wires. allVerified must be "
-            "true: the bitstring check certifies the whole pipeline at "
-            "widths the exhaustive unitary oracle (<= 6 qubits) cannot "
-            "reach.");
-    return out;
+    t.summary.set("allVerified", all_verified);
+    t.summary.set("minLoweredSuccess", min_lowered);
+    setCatalogSummary(t.summary, catalog);
+    return t.payload(
+        "Every row is one self-verifying mirror circuit routed on heavy-hex "
+        "57Q and lowered to sqrt(iSWAP) pulses; the ideal bitstring's "
+        "probability is measured by sparse simulation of the emitted "
+        "circuit on all 57 wires. allVerified must be true: the bitstring "
+        "check certifies the whole pipeline at widths the exhaustive "
+        "unitary oracle (<= 6 qubits) cannot reach.");
 }
 
 /**
@@ -1366,88 +1146,61 @@ runMatrix(const SweepKnobs &knobs, json::Value &parameters)
         suite.push_back({b.name, b.qubits, b.make(), {}});
     suite.resize(limitedCount(knobs, suite.size()));
 
-    const std::vector<topology::CouplingMap> topologies = {
-        topology::CouplingMap::grid(6, 6),
-        topology::CouplingMap::heavyHex57(),
-        topology::CouplingMap::line(30),
+    const std::vector<CouplingMap> topologies = {
+        CouplingMap::grid(6, 6),
+        CouplingMap::heavyHex57(),
+        CouplingMap::line(30),
     };
 
-    json::Value rows = json::Value::array();
-    int cells = 0, mirror_cells = 0, verified_cells = 0;
+    Table t;
+    int mirror_cells = 0, verified_cells = 0;
     for (const auto &w : suite) {
         for (const auto &topo : topologies) {
             auto base = mirage_pass::transpile(
-                w.circ, topo,
-                sweepOptions(mirage_pass::Flow::SabreBaseline, 0x9000,
-                             knobs));
+                w.circ, topo, sweepOptions(SabreBaseline, 0x9000, knobs));
             for (int a = 0; a <= 3; ++a) {
-                auto opts = sweepOptions(mirage_pass::Flow::MirageDepth,
-                                         0x9000, knobs);
+                auto opts = sweepOptions(MirageDepth, 0x9000, knobs);
                 opts.fixedAggression = a;
                 auto res = mirage_pass::transpile(w.circ, topo, opts);
-
-                json::Value row = json::Value::object();
-                row.set("circuit", w.name);
-                row.set("qubits", w.qubits);
-                row.set("topology", topo.name());
-                row.set("aggression", a);
-                row.set("baselineDepth", base.metrics.depth);
-                row.set("depth", res.metrics.depth);
-                row.set("depthRed",
-                        pct(base.metrics.depth, res.metrics.depth));
-                row.set("swaps", res.swapsAdded);
-                row.set("mirrors", res.mirrorsAccepted);
-                row.set("heuristicEvals",
-                        res.routingCounters.heuristicEvals);
-                ++cells;
+                t.row()
+                    .cell("circuit", "circuit", w.name)
+                    .cell("qubits", "qubits", w.qubits)
+                    .cell("topology", "topology", topo.name())
+                    .cell("aggression", "aggr", a)
+                    .cell("baselineDepth", "base depth", base.metrics.depth,
+                          1)
+                    .cell("depth", "depth", res.metrics.depth, 1)
+                    .cell("depthRed", "d%",
+                          pct(base.metrics.depth, res.metrics.depth), 1)
+                    .cell("swaps", "swaps", res.swapsAdded)
+                    .cell("mirrors", "mirrors", res.mirrorsAccepted)
+                    .cell("heuristicEvals", "h-evals",
+                          res.routingCounters.heuristicEvals);
                 if (!w.bits.empty()) {
                     double p = bench::mirrorSuccessProbability(
                         res.routed, res.final.logicalToPhysical(),
                         w.bits);
                     bool ok = p >= 1.0 - 1e-9;
-                    row.set("successProb", p);
-                    row.set("verified", ok);
+                    t.cell("successProb", "P(bitstring)", p, 6)
+                        .cell("verified", "ok", ok);
                     ++mirror_cells;
-                    if (ok)
-                        ++verified_cells;
+                    verified_cells += ok;
                 }
-                rows.push(std::move(row));
             }
         }
     }
 
-    json::Value out = json::Value::object();
     parameters.set("workloads", uint64_t(suite.size()));
-    json::Value cols = json::Value::array();
-    cols.push(column("circuit", "circuit"));
-    cols.push(column("qubits", "qubits"));
-    cols.push(column("topology", "topology"));
-    cols.push(column("aggression", "aggr"));
-    cols.push(column("baselineDepth", "base depth", 1));
-    cols.push(column("depth", "depth", 1));
-    cols.push(column("depthRed", "d%", 1));
-    cols.push(column("swaps", "swaps"));
-    cols.push(column("mirrors", "mirrors"));
-    cols.push(column("heuristicEvals", "h-evals"));
-    cols.push(column("successProb", "P(bitstring)", 6));
-    cols.push(column("verified", "ok"));
-    out.set("columns", std::move(cols));
-    out.set("rows", std::move(rows));
-    json::Value summary = json::Value::object();
-    summary.set("cells", cells);
-    summary.set("mirrorCells", mirror_cells);
-    summary.set("verifiedCells", verified_cells);
-    summary.set("allMirrorCellsVerified",
-                mirror_cells == verified_cells);
-    out.set("summary", std::move(summary));
-    out.set("notes",
-            "Table III grown into a scenario matrix: every workload x "
-            "{grid6x6, heavyhex57, line30} x fixed aggression 0-3, one "
-            "row per cell. The two mirror workloads lead the suite "
-            "(--limit 2 runs only them) and are bitstring-verified "
-            "against the routed circuit in every cell; "
-            "allMirrorCellsVerified must be true.");
-    return out;
+    t.summary.set("cells", int(suite.size() * topologies.size()) * 4);
+    t.summary.set("mirrorCells", mirror_cells);
+    t.summary.set("verifiedCells", verified_cells);
+    t.summary.set("allMirrorCellsVerified", mirror_cells == verified_cells);
+    return t.payload(
+        "Table III grown into a scenario matrix: every workload x "
+        "{grid6x6, heavyhex57, line30} x fixed aggression 0-3, one row per "
+        "cell. The two mirror workloads lead the suite (--limit 2 runs only "
+        "them) and are bitstring-verified against the routed circuit in "
+        "every cell; allMirrorCellsVerified must be true.");
 }
 
 } // namespace
@@ -1659,10 +1412,9 @@ buildCatalogLibrary(int threads)
 const Experiment *
 findExperiment(const std::string &name)
 {
-    for (const auto &e : experimentRegistry()) {
+    for (const auto &e : experimentRegistry())
         if (e.name == name)
             return &e;
-    }
     return nullptr;
 }
 
@@ -1700,8 +1452,7 @@ validateArtifact(const json::Value &artifact, std::string *error)
         return fail("missing numeric 'schemaVersion'");
     if (version->asInt() != kArtifactSchemaVersion)
         return fail("schemaVersion " + std::to_string(version->asInt()) +
-                    " != supported " +
-                    std::to_string(kArtifactSchemaVersion));
+                    " != supported " + std::to_string(kArtifactSchemaVersion));
     const json::Value *kind = artifact.find("kind");
     if (!kind || !kind->isString() ||
         kind->asString() != kSweepArtifactKind)
@@ -1720,10 +1471,8 @@ validateArtifact(const json::Value &artifact, std::string *error)
     if (!columns || !columns->isArray() || columns->size() == 0)
         return fail("missing non-empty array 'columns'");
     for (size_t i = 0; i < columns->size(); ++i) {
-        const json::Value &c = columns->at(i);
-        const json::Value *key = c.isObject() ? c.find("key") : nullptr;
-        const json::Value *label =
-            c.isObject() ? c.find("label") : nullptr;
+        const json::Value *key = columns->at(i).find("key");
+        const json::Value *label = columns->at(i).find("label");
         if (!key || !key->isString() || !label || !label->isString())
             return fail("column " + std::to_string(i) +
                         " lacks string key/label");
@@ -1731,10 +1480,9 @@ validateArtifact(const json::Value &artifact, std::string *error)
     const json::Value *rows = artifact.find("rows");
     if (!rows || !rows->isArray())
         return fail("missing array 'rows'");
-    for (size_t i = 0; i < rows->size(); ++i) {
+    for (size_t i = 0; i < rows->size(); ++i)
         if (!rows->at(i).isObject())
             return fail("row " + std::to_string(i) + " is not an object");
-    }
     return true;
 }
 
@@ -1778,51 +1526,44 @@ checkBenchCounters(const Experiment &e, const json::Value &current,
                         "baseline with matching knobs");
     }
 
-    bool ok = true;
-    const json::Value &rows = current["rows"];
+    // Baseline rows by name (the first of each).
     const json::Value &base_rows = baseline["rows"];
-    auto findRow = [&base_rows](const std::string &name) {
-        for (size_t i = 0; i < base_rows.size(); ++i) {
-            const json::Value *n = base_rows.at(i).find("name");
-            if (n && n->isString() && n->asString() == name)
-                return &base_rows.at(i);
-        }
-        return static_cast<const json::Value *>(nullptr);
-    };
+    std::map<std::string, const json::Value *> base_by_name;
+    for (size_t i = 0; i < base_rows.size(); ++i)
+        if (const json::Value *n = base_rows.at(i).find("name");
+            n && n->isString())
+            base_by_name.emplace(n->asString(), &base_rows.at(i));
+    bool ok = true;
     size_t matched = 0;
+    const json::Value &rows = current["rows"];
     for (size_t i = 0; i < rows.size(); ++i) {
         const json::Value &row = rows.at(i);
         const std::string name = row["name"].asString();
-        const json::Value *base = findRow(name);
-        if (!base)
+        const auto base = base_by_name.find(name);
+        if (base == base_by_name.end())
             continue; // a new row has no baseline yet
         ++matched;
         for (const std::string &key : e.gatedCounters) {
-            const json::Value *n = row.find(key), *r = base->find(key);
+            const json::Value *n = row.find(key), *r = base->second->find(key);
             if (!n || !r || !n->isNumber() || !r->isNumber()) {
-                ok = false;
-                fail(name + ": counter '" + key + "' missing");
+                ok = fail(name + ": counter '" + key + "' missing");
                 continue;
             }
             const int64_t now = n->asInt(), ref = r->asInt();
-            if (now > ref) {
-                ok = false;
-                fail(name + ": " + key + " regressed " +
-                     std::to_string(ref) + " -> " + std::to_string(now));
-            } else if (report && now < ref) {
+            if (now > ref)
+                ok = fail(name + ": " + key + " regressed " +
+                          std::to_string(ref) + " -> " + std::to_string(now));
+            else if (report && now < ref)
                 *report += name + ": " + key + " improved " +
                            std::to_string(ref) + " -> " +
                            std::to_string(now) + "\n";
-            }
         }
     }
     // Every baseline row must still be measured, or a regression could
     // hide behind a shrunken suite.
-    if (matched < base_rows.size()) {
-        ok = false;
-        fail("current run covers " + std::to_string(matched) + " of " +
-             std::to_string(base_rows.size()) + " baseline rows");
-    }
+    if (matched < base_rows.size())
+        ok = fail("current run covers " + std::to_string(matched) + " of " +
+                  std::to_string(base_rows.size()) + " baseline rows");
     return ok;
 }
 
@@ -1847,9 +1588,9 @@ checkInvariants(const Experiment &e, const json::Value &artifact,
 
 namespace {
 
-/** Format one cell according to the column spec. */
+/** One cell as text, in its column's `digits`/`sci` format if given. */
 std::string
-formatCell(const json::Value &v, const json::Value &col)
+formatCell(const json::Value &v, const json::Value *col = nullptr)
 {
     if (v.isString())
         return v.asString();
@@ -1859,38 +1600,31 @@ formatCell(const json::Value &v, const json::Value &col)
         return "";
     if (!v.isNumber())
         return v.dump(0);
-    const json::Value *sci = col.find("sci");
-    if (sci && sci->isBool() && sci->asBool()) {
-        char buf[32];
+    const json::Value *sci = col ? col->find("sci") : nullptr;
+    const json::Value *digits = col ? col->find("digits") : nullptr;
+    char buf[32];
+    if (sci && sci->isBool() && sci->asBool())
         std::snprintf(buf, sizeof(buf), "%.1e", v.asNumber());
-        return buf;
-    }
-    const json::Value *digits = col.find("digits");
-    if (digits && digits->isNumber()) {
-        char buf[32];
+    else if (digits && digits->isNumber())
         std::snprintf(buf, sizeof(buf), "%.*f", int(digits->asInt()),
                       v.asNumber());
-        return buf;
-    }
-    return json::formatNumber(v.asNumber());
+    else
+        return json::formatNumber(v.asNumber());
+    return buf;
 }
 
+/** A parameter or summary value: non-integers to 4 significant digits. */
 std::string
 formatSummaryValue(const json::Value &v)
 {
-    if (v.isString())
-        return v.asString();
-    if (v.isBool())
-        return v.asBool() ? "true" : "false";
-    if (v.isNumber()) {
-        double d = v.asNumber();
-        if (d == std::floor(d) && std::fabs(d) < 1e15)
-            return json::formatNumber(d);
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.4g", d);
-        return buf;
-    }
-    return v.dump(0);
+    if (v.isNull())
+        return "null";
+    const double d = v.isNumber() ? v.asNumber() : 0.0;
+    if (d == std::floor(d) && std::fabs(d) < 1e15)
+        return formatCell(v);
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.4g", d);
+    return buf;
 }
 
 } // namespace
@@ -1910,17 +1644,13 @@ renderMarkdown(const json::Value &artifact)
                       artifact["experiment"].asString() + "`)\n\n";
 
     const json::Value &params = artifact["parameters"];
-    if (params.size()) {
-        out += "Parameters: ";
-        bool first = true;
-        for (const auto &[k, v] : params.members()) {
-            if (!first)
-                out += ", ";
-            out += k + "=" + formatSummaryValue(v);
-            first = false;
-        }
-        out += "\n\n";
+    std::string sep = "Parameters: ";
+    for (const auto &[k, v] : params.members()) {
+        out += sep + k + "=" + formatSummaryValue(v);
+        sep = ", ";
     }
+    if (params.size())
+        out += "\n\n";
 
     // Header + alignment (numbers right, everything else left). A
     // column is numeric when its first present value is a number.
@@ -1930,12 +1660,11 @@ renderMarkdown(const json::Value &artifact)
         header += " " + col["label"].asString() + " |";
         bool numeric = false;
         const std::string &key = col["key"].asString();
-        for (size_t r = 0; r < rows.size(); ++r) {
+        for (size_t r = 0; r < rows.size(); ++r)
             if (const json::Value *v = rows.at(r).find(key)) {
                 numeric = v->isNumber();
                 break;
             }
-        }
         align += numeric ? " ---: |" : " --- |";
     }
     out += header + "\n" + align + "\n";
@@ -1947,7 +1676,7 @@ renderMarkdown(const json::Value &artifact)
             const json::Value *v = rows.at(r).find(col["key"].asString());
             out += " ";
             if (v)
-                out += formatCell(*v, col);
+                out += formatCell(*v, &col);
             out += " |";
         }
         out += "\n";
@@ -1957,22 +1686,19 @@ renderMarkdown(const json::Value &artifact)
         summary && summary->isObject() && summary->size()) {
         out += "\n";
         for (const auto &[k, v] : summary->members()) {
+            out += "- " + k + ":";
             if (v.isObject()) {
-                out += "- " + k + ":";
                 for (const auto &[k2, v2] : v.members())
                     out += " " + k2 + "=" + formatSummaryValue(v2);
-                out += "\n";
             } else if (v.isArray()) {
-                out += "- " + k + ": ";
-                for (size_t i = 0; i < v.size(); ++i) {
-                    if (i)
-                        out += ", ";
-                    out += formatSummaryValue(v.at(i));
-                }
-                out += "\n";
+                out += " ";
+                for (size_t i = 0; i < v.size(); ++i)
+                    out += std::string(i ? ", " : "") +
+                           formatSummaryValue(v.at(i));
             } else {
-                out += "- " + k + ": " + formatSummaryValue(v) + "\n";
+                out += " " + formatSummaryValue(v);
             }
+            out += "\n";
         }
     }
 
@@ -1990,9 +1716,6 @@ renderCsv(const json::Value &artifact)
     if (!validateArtifact(artifact, &err))
         return "";
 
-    const json::Value &columns = artifact["columns"];
-    const json::Value &rows = artifact["rows"];
-
     auto csvEscape = [](const std::string &s) {
         if (s.find_first_of(",\"\n") == std::string::npos)
             return s;
@@ -2006,29 +1729,19 @@ renderCsv(const json::Value &artifact)
         return out;
     };
 
+    const json::Value &columns = artifact["columns"];
+    const json::Value &rows = artifact["rows"];
     std::string out;
-    for (size_t c = 0; c < columns.size(); ++c) {
-        if (c)
-            out += ",";
-        out += csvEscape(columns.at(c)["key"].asString());
-    }
+    for (size_t c = 0; c < columns.size(); ++c)
+        out += std::string(c ? "," : "") +
+               csvEscape(columns.at(c)["key"].asString());
     out += "\n";
     for (size_t r = 0; r < rows.size(); ++r) {
         for (size_t c = 0; c < columns.size(); ++c) {
-            if (c)
-                out += ",";
             const json::Value *v =
                 rows.at(r).find(columns.at(c)["key"].asString());
-            if (!v || v->isNull())
-                continue;
-            if (v->isNumber())
-                out += json::formatNumber(v->asNumber());
-            else if (v->isBool())
-                out += v->asBool() ? "true" : "false";
-            else if (v->isString())
-                out += csvEscape(v->asString());
-            else
-                out += csvEscape(v->dump(0));
+            out += std::string(c ? "," : "") +
+                   csvEscape(v ? formatCell(*v) : "");
         }
         out += "\n";
     }

@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 
@@ -670,6 +671,24 @@ TEST(CliSweep, UndeclaredKnobsAreUsageErrors)
         << r.err;
 }
 
+TEST(CliSweep, McItersAboveTheBoundIsUsageError)
+{
+    // Values a signed doubling loop could not count up to: refused at
+    // parse time, before any Monte-Carlo work or artifact.
+    const std::string dir = tempPath("mc-iters");
+    for (const auto &[name, iters] :
+         {std::pair{"fig5", "1073741824"}, std::pair{"table2", "2147483647"}}) {
+        const auto start = std::chrono::steady_clock::now();
+        auto r = runCli({"sweep", "--experiment", name, "--mc-iters", iters,
+                         "--out", dir});
+        EXPECT_LT(std::chrono::steady_clock::now() - start,
+                  std::chrono::seconds(1));
+        EXPECT_EQ(r.code, cli::kExitUsage) << name << ": " << r.err;
+        EXPECT_NE(r.err.find("--mc-iters"), std::string::npos) << r.err;
+    }
+    EXPECT_FALSE(std::filesystem::exists(dir));
+}
+
 TEST(CliSweep, Fig8ArtifactValidatesRendersAndExportsCsv)
 {
     std::string dir = tempPath("arts");
@@ -1096,6 +1115,49 @@ TEST(ExperimentRegistry, Fig6AndFig9ReproduceThePaperShapes)
     EXPECT_EQ(fig9["summary"]["worstPulses"].asInt(), 21);
     EXPECT_NE(cli::renderMarkdown(fig9).find("| 10 | 32 |"),
               std::string::npos);
+}
+
+TEST(ExperimentRegistry, Fig10To12ArmGridsFillEveryColumn)
+{
+    cli::SweepKnobs knobs;
+    knobs.seeds = knobs.layoutTrials = knobs.swapTrials = knobs.fwdBwd = 1;
+    std::map<std::string, json::Value> artifacts;
+    for (const auto &[name, rows] :
+         {std::pair{"fig10", 4u}, std::pair{"fig11", 13u},
+          std::pair{"fig12", 26u}}) {
+        json::Value &a = artifacts[name] =
+            cli::runExperiment(*cli::findExperiment(name), knobs);
+        std::string schemaError;
+        ASSERT_TRUE(cli::validateArtifact(a, &schemaError)) << schemaError;
+        ASSERT_EQ(a["rows"].size(), rows) << name;
+        const json::Value &columns = a["columns"];
+        for (size_t r = 0; r < a["rows"].size(); ++r)
+            for (size_t c = 0; c < columns.size(); ++c)
+                EXPECT_TRUE(a["rows"].at(r).contains(
+                    columns.at(c)["key"].asString()))
+                    << name << " row " << r << " column " << c;
+    }
+
+    const json::Value &fig11 = artifacts["fig11"]["summary"];
+    for (const char *key :
+         {"avgDepthReductionSwapSel", "avgDepthReductionDepthSel",
+          "avgExtraFromDepthSel", "avgTotalPulseChange"})
+        EXPECT_TRUE(fig11.contains(key)) << key;
+    EXPECT_NEAR(fig11["avgExtraFromDepthSel"].asNumber(),
+                fig11["avgDepthReductionDepthSel"].asNumber() -
+                    fig11["avgDepthReductionSwapSel"].asNumber(),
+                1e-9);
+
+    const json::Value &fig12 = artifacts["fig12"]["summary"];
+    for (const char *topology : {"heavyhex-57", "grid-6x6"}) {
+        ASSERT_TRUE(fig12.contains(topology)) << topology;
+        for (const char *key :
+             {"avgDepthReduction", "avgPulseReduction", "avgSwapReduction",
+              "weightedDepthReduction", "weightedPulseReduction",
+              "weightedSwapReduction"})
+            EXPECT_TRUE(fig12[topology].contains(key))
+                << topology << " " << key;
+    }
 }
 
 TEST(ExperimentRegistry, Fig12LargeGatesSparseMemoryAndCounters)
